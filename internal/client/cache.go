@@ -741,9 +741,15 @@ type selfOp struct {
 // mutating client never pays a recall fetch for its own writes. last == 0
 // (TTL mode, or a fully suppressed mutation) drops unconditionally.
 func (c *dirCache) selfApply(src uint32, last uint64, n uint32, ops ...selfOp) {
+	c.selfApplyScoped(last == 0, src, last, n, ops...)
+}
+
+// selfApplyScoped is selfApply with the drop scope chosen by the caller:
+// uncond drops regardless of grant sequence and granting source.
+func (c *dirCache) selfApplyScoped(uncond bool, src uint32, last uint64, n uint32, ops ...selfOp) {
 	guard := last
 	guardSrc := src
-	if guard == 0 {
+	if uncond {
 		guard = ^uint64(0)
 		guardSrc = srcAny
 	}
@@ -802,21 +808,17 @@ func (c *dirCache) selfRenamedFrom(src uint32, oldPath, newPath string, last uin
 		selfOp{wire.RecallCreated, newPath})
 }
 
-// accountPub folds a mutation's publication trailer into source src's
-// watermarks without performing any drops — used when the caller already
-// invalidated the affected paths unconditionally (cross-partition renames,
-// whose destination-side recalls are published by a different source).
-func (c *dirCache) accountPub(src uint32, last uint64, n uint32) {
-	if !c.coherent || last == 0 {
-		return
-	}
-	c.observeFrom(src, last)
-	m := c.marks(src)
-	c.mu.Lock()
-	if n > 0 {
-		m.appliedSeq.CompareAndSwap(last-uint64(n), last)
-	}
-	c.mu.Unlock()
+// selfRenamedCross applies the client's own cross-partition rename. The
+// trailer carries only the source partition's recalls, which it accounts;
+// the destination's arrive on that partition's own channel, and meanwhile
+// its cached state would pass the freshness gate. So both subtrees and both
+// parents' listings are dropped unconditionally, whichever source granted
+// them.
+func (c *dirCache) selfRenamedCross(src uint32, oldPath, newPath string, last uint64, n uint32) {
+	c.selfApplyScoped(true, src, last, n,
+		selfOp{wire.RecallRemoved, oldPath},
+		selfOp{wire.RecallRemoved, newPath},
+		selfOp{wire.RecallCreated, newPath})
 }
 
 // invalidate drops path from the cache (every kind, unconditionally).

@@ -1396,13 +1396,7 @@ func (c *Client) RenameDirContext(ctx context.Context, oldPath, newPath string) 
 		if !cross {
 			c.cache.selfRenamedFrom(src, oldC, newC, last, n)
 		} else {
-			// Two partitions published recalls for this rename but the
-			// trailer carries only the source side's. Drop both subtrees
-			// unconditionally and account just the source watermarks; the
-			// destination side's recalls arrive through its own channel.
-			c.cache.invalidateSubtree(oldC)
-			c.cache.invalidateSubtree(newC)
-			c.cache.accountPub(src, last, n)
+			c.cache.selfRenamedCross(src, oldC, newC, last, n)
 		}
 	}
 	return int(moved), nil

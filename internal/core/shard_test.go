@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -280,5 +282,59 @@ func TestCrossPartitionRenameCrashAfterCommit(t *testing.T) {
 func TestShardedWrongPartitionSurfacesAsStale(t *testing.T) {
 	if !errors.Is(wire.StatusWrongPartition.Err(), wire.StatusStale.Err()) {
 		t.Fatal("EWRONGPART does not match ESTALE under errors.Is")
+	}
+}
+
+// TestCrossPartitionRenameRefreshesOwnCachedListings: after a client's own
+// cross-partition RenameDir, that client's cached listings of both parents
+// are dropped, so its next Readdir of each is right. The rename's trailer
+// accounts the source partition's recalls, so nothing else would drop the
+// source parent's listing; and the destination partition's recalls are not
+// yet observed, so its parent's listing would pass the freshness gate.
+func TestCrossPartitionRenameRefreshesOwnCachedListings(t *testing.T) {
+	c, err := Start(Options{DMSPartitions: 2, DMSCuts: []string{"/p1"}, DMSReplicas: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	fs, err := c.NewClient(ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	for _, d := range []string{"/p0", "/p1", "/p0/x", "/p0/y", "/p1/z"} {
+		if err := fs.Mkdir(d, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	names := func(dir string) []string {
+		t.Helper()
+		ents, err := fs.Readdir(dir)
+		if err != nil {
+			t.Fatalf("readdir %s: %v", dir, err)
+		}
+		var out []string
+		for _, e := range ents {
+			out = append(out, e.Name)
+		}
+		sort.Strings(out)
+		return out
+	}
+	// List each parent twice: the second listing is served from the cache.
+	for i := 0; i < 2; i++ {
+		names("/p0")
+		names("/p1")
+	}
+	if hits := fs.CacheDetail().ListHits; hits == 0 {
+		t.Fatal("parent listings were not cached; the test would prove nothing")
+	}
+	if _, err := fs.RenameDir("/p0/x", "/p1/x"); err != nil {
+		t.Fatal(err)
+	}
+	if got := names("/p0"); !reflect.DeepEqual(got, []string{"y"}) {
+		t.Errorf("source parent after rename = %v, want [y]", got)
+	}
+	if got := names("/p1"); !reflect.DeepEqual(got, []string{"x", "z"}) {
+		t.Errorf("destination parent after rename = %v, want [x z]", got)
 	}
 }

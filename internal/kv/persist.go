@@ -108,22 +108,31 @@ func (p *Persistent) replayWAL() error {
 			break // torn tail from a crash mid-append
 		}
 		data = rest
-		switch rec.kind {
-		case recPut:
-			p.inner.Put(rec.a, rec.b)
-		case recDelete:
-			p.inner.Delete(rec.a)
-		case recPatch:
-			p.inner.PatchInPlace(rec.a, int(rec.n), rec.b)
-		case recAppend:
-			p.inner.AppendValue(rec.a, rec.b)
-		case recMovePrefix:
-			if p.ordered != nil {
-				p.ordered.MovePrefix(rec.a, rec.b)
-			}
-		}
+		p.apply(rec)
 	}
 	return nil
+}
+
+// apply runs one mutation record against the inner store, reporting the
+// mutation's own result (Delete/PatchInPlace success, MovePrefix count).
+func (p *Persistent) apply(r record) (ok bool, moved int) {
+	switch r.kind {
+	case recPut:
+		p.inner.Put(r.a, r.b)
+		return true, 0
+	case recDelete:
+		return p.inner.Delete(r.a), 0
+	case recPatch:
+		return p.inner.PatchInPlace(r.a, int(r.n), r.b), 0
+	case recAppend:
+		p.inner.AppendValue(r.a, r.b)
+		return true, 0
+	case recMovePrefix:
+		if p.ordered != nil {
+			return true, p.ordered.MovePrefix(r.a, r.b)
+		}
+	}
+	return false, 0
 }
 
 // record is one decoded WAL/snapshot entry: kind, two byte strings, and an
@@ -197,24 +206,33 @@ func decodeRecord(data []byte) (record, []byte, bool) {
 	return r, rest, true
 }
 
-// log appends one record to the WAL and applies auto-snapshotting.
-func (p *Persistent) log(r record) {
+// mutate logs r to the WAL, applies it to the inner store and decides on
+// an automatic snapshot, all in one critical section: WAL order is apply
+// order, and a snapshot taken after the apply always holds the mutation
+// that triggered it (it would otherwise be in neither snapshot nor WAL).
+func (p *Persistent) mutate(r record) (ok bool, moved int) {
 	p.mu.Lock()
-	buf := appendRecord(nil, r)
-	p.walW.Write(buf)
+	defer p.mu.Unlock()
+	p.walW.Write(appendRecord(nil, r))
 	p.walW.Flush()
+	ok, moved = p.apply(r)
 	p.mutations++
-	doSnap := p.SnapshotEvery > 0 && p.mutations >= p.SnapshotEvery
-	p.mu.Unlock()
-	if doSnap {
-		p.Snapshot()
+	if p.SnapshotEvery > 0 && p.mutations >= p.SnapshotEvery {
+		// A failed snapshot leaves the WAL whole and the count unreset,
+		// so the next mutation retries it.
+		_ = p.snapshotLocked()
 	}
+	return ok, moved
 }
 
 // Snapshot dumps the full store to disk atomically and truncates the WAL.
 func (p *Persistent) Snapshot() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	return p.snapshotLocked()
+}
+
+func (p *Persistent) snapshotLocked() error {
 	tmp := filepath.Join(p.dir, snapFile+".tmp")
 	f, err := os.Create(tmp)
 	if err != nil {
@@ -269,14 +287,13 @@ func (p *Persistent) Get(key []byte) ([]byte, bool) { return p.inner.Get(key) }
 
 // Put implements Store, logging before applying.
 func (p *Persistent) Put(key, value []byte) {
-	p.log(record{kind: recPut, a: key, b: value})
-	p.inner.Put(key, value)
+	p.mutate(record{kind: recPut, a: key, b: value})
 }
 
 // Delete implements Store.
 func (p *Persistent) Delete(key []byte) bool {
-	p.log(record{kind: recDelete, a: key})
-	return p.inner.Delete(key)
+	ok, _ := p.mutate(record{kind: recDelete, a: key})
+	return ok
 }
 
 // PatchInPlace implements Store.
@@ -284,8 +301,8 @@ func (p *Persistent) PatchInPlace(key []byte, off int, data []byte) bool {
 	if off < 0 {
 		return false
 	}
-	p.log(record{kind: recPatch, a: key, b: data, n: uint64(off)})
-	return p.inner.PatchInPlace(key, off, data)
+	ok, _ := p.mutate(record{kind: recPatch, a: key, b: data, n: uint64(off)})
+	return ok
 }
 
 // ReadAt implements Store.
@@ -295,8 +312,7 @@ func (p *Persistent) ReadAt(key []byte, off int, buf []byte) bool {
 
 // AppendValue implements Store.
 func (p *Persistent) AppendValue(key, data []byte) {
-	p.log(record{kind: recAppend, a: key, b: data})
-	p.inner.AppendValue(key, data)
+	p.mutate(record{kind: recAppend, a: key, b: data})
 }
 
 // Len implements Store.
@@ -317,8 +333,8 @@ func (p *Persistent) AscendPrefix(prefix []byte, fn func(key, value []byte) bool
 
 // MovePrefix implements Ordered when the wrapped store is ordered.
 func (p *Persistent) MovePrefix(oldPrefix, newPrefix []byte) int {
-	p.log(record{kind: recMovePrefix, a: oldPrefix, b: newPrefix})
-	return p.ordered.MovePrefix(oldPrefix, newPrefix)
+	_, moved := p.mutate(record{kind: recMovePrefix, a: oldPrefix, b: newPrefix})
+	return moved
 }
 
 // IsOrdered reports whether ordered operations are available.

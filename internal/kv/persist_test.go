@@ -1,9 +1,11 @@
 package kv
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -202,5 +204,74 @@ func TestRecordRoundTrip(t *testing.T) {
 	}
 	if len(buf) != 0 {
 		t.Errorf("%d bytes left over", len(buf))
+	}
+}
+
+// TestPersistentAutoSnapshotKeepsTriggeringMutation: the mutation that
+// triggers an automatic snapshot is in the snapshot, not lost between the
+// snapshot and the truncated WAL.
+func TestPersistentAutoSnapshotKeepsTriggeringMutation(t *testing.T) {
+	dir := t.TempDir()
+	p, err := OpenPersistent(dir, NewHashStore())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.SnapshotEvery = 2
+	p.Put([]byte("a"), []byte("1"))
+	p.Put([]byte("b"), []byte("2")) // triggers the snapshot
+	p2, err := OpenPersistent(dir, NewHashStore())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p2.Close()
+	for k, want := range map[string]string{"a": "1", "b": "2"} {
+		if v, ok := p2.Get([]byte(k)); !ok || string(v) != want {
+			t.Errorf("after reopen %s = %q, %v; want %q", k, v, ok, want)
+		}
+	}
+	p.Close()
+}
+
+// TestPersistentConcurrentWritersReopenToLiveValue: with concurrent writers
+// to one key, the WAL records mutations in the order they were applied, so
+// a reopen recovers the value the live store ended with.
+func TestPersistentConcurrentWritersReopenToLiveValue(t *testing.T) {
+	for _, every := range []int{0, 7} {
+		t.Run(fmt.Sprintf("snapshotEvery=%d", every), func(t *testing.T) {
+			dir := t.TempDir()
+			p, err := OpenPersistent(dir, NewBTreeStore())
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.SnapshotEvery = every
+			k := []byte("k")
+			var wg sync.WaitGroup
+			for w := 0; w < 8; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < 200; i++ {
+						if i%4 == 3 {
+							p.AppendValue(k, []byte(fmt.Sprintf("+%d.%d", w, i)))
+						} else {
+							p.Put(k, []byte(fmt.Sprintf("%d.%d", w, i)))
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			live, _ := p.Get(k)
+			if err := p.Close(); err != nil {
+				t.Fatal(err)
+			}
+			p2, err := OpenPersistent(dir, NewBTreeStore())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p2.Close()
+			if got, _ := p2.Get(k); !bytes.Equal(got, live) {
+				t.Fatalf("reopened to %q, live value was %q", got, live)
+			}
+		})
 	}
 }

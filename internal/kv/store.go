@@ -12,7 +12,11 @@
 // Both engines support the paper's serialization-free access (§3.3.3):
 // PatchInPlace overwrites a fixed-offset field inside a stored value without
 // reading, decoding, or rewriting the rest, and AppendValue extends a value
-// (used for concatenated dirent lists) without copying it out first.
+// (used for concatenated dirent lists) in place with amortized growth, so an
+// append costs O(appended bytes) however large the value already is. Stored
+// values may therefore carry spare capacity; every slice handed out (Get
+// copies, ForEach/AscendRange callbacks see capacity-capped views) keeps a
+// caller from writing into it.
 package kv
 
 import (
@@ -40,12 +44,14 @@ type Store interface {
 	// without materializing the whole value.
 	ReadAt(key []byte, off int, buf []byte) bool
 	// AppendValue appends data to the value under key, creating the key
-	// with value == data if absent.
+	// with value == data if absent. The in-memory engines extend the stored
+	// value in place (amortized O(len(data))); data is never retained.
 	AppendValue(key, data []byte)
 	// Len returns the number of stored keys.
 	Len() int
 	// ForEach visits every record in unspecified order until fn returns
-	// false. The callback must not modify the store.
+	// false. The callback must not modify the store. The value is only
+	// valid during the callback; appending to it never writes the store.
 	ForEach(fn func(key, value []byte) bool)
 }
 
@@ -158,14 +164,12 @@ func (s *HashStore) ReadAt(key []byte, off int, buf []byte) bool {
 }
 
 // AppendValue appends data to the value under key, creating it if absent.
+// The stored slice grows in place, so the cost is the appended bytes, not
+// the value's size. Safe because no stored slice escapes with its capacity.
 func (s *HashStore) AppendValue(key, data []byte) {
 	sh := s.shard(key)
 	sh.mu.Lock()
-	v := sh.m[string(key)]
-	nv := make([]byte, len(v)+len(data))
-	copy(nv, v)
-	copy(nv[len(v):], data)
-	sh.m[string(key)] = nv
+	sh.m[string(key)] = append(sh.m[string(key)], data...)
 	sh.mu.Unlock()
 }
 
@@ -188,7 +192,7 @@ func (s *HashStore) ForEach(fn func(key, value []byte) bool) {
 		sh := &s.shards[i]
 		sh.mu.RLock()
 		for k, v := range sh.m {
-			if !fn([]byte(k), v) {
+			if !fn([]byte(k), v[:len(v):len(v)]) {
 				sh.mu.RUnlock()
 				return
 			}

@@ -1,8 +1,13 @@
 package layout
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
+	"hash/maphash"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"locofs/internal/uuid"
@@ -49,33 +54,21 @@ func AppendDirentTombstone(list []byte, name string) []byte {
 }
 
 // walkDirents replays the log in order, calling fn for every record. A
-// tombstone record has tomb == true and a zero UUID.
+// tombstone record has tomb == true and a nil UUID.
 func walkDirents(list []byte, fn func(name []byte, u []byte, tomb bool) bool) error {
-	for len(list) > 0 {
-		hdr, n := binary.Uvarint(list)
-		if n <= 0 {
-			return ErrCorruptDirentList
+	for pos := 0; pos < len(list); {
+		at, n, tomb, next, err := nextRecord(list, pos)
+		if err != nil {
+			return err
 		}
-		list = list[n:]
-		nameLen := hdr >> 1
-		tomb := hdr&1 == 1
-		need := nameLen
-		if !tomb {
-			need += uuid.Size
-		}
-		if uint64(len(list)) < need {
-			return ErrCorruptDirentList
-		}
-		name := list[:nameLen]
-		list = list[nameLen:]
 		var u []byte
 		if !tomb {
-			u = list[:uuid.Size]
-			list = list[uuid.Size:]
+			u = list[at+n : next]
 		}
-		if !fn(name, u, tomb) {
+		if !fn(list[at:at+n], u, tomb) {
 			return nil
 		}
+		pos = next
 	}
 	return nil
 }
@@ -136,27 +129,198 @@ func FindDirent(list []byte, name string) (Dirent, bool, error) {
 	return Dirent{Name: name, UUID: u}, true, nil
 }
 
+// direntRec is one record of a dirent log in the index the list operations
+// build: where the record's name sits in the list, its length (with recTomb
+// set for a tombstone) and the record's position in the log. It holds no
+// pointers, so an index over a 50k-entry directory is one flat allocation
+// the GC neither scans nor write-barriers. Offsets are 32-bit: a single KV
+// value of 4 GiB is far outside what a dirent list can reach.
+type direntRec struct {
+	off, n, seq uint32
+}
+
+const recTomb = 1 << 31
+
+func (r direntRec) tomb() bool              { return r.n&recTomb != 0 }
+func (r direntRec) name(list []byte) []byte { return list[r.off : r.off+r.n&^recTomb] }
+
+// compareRecs orders records by name.
+func compareRecs(list []byte, a, b direntRec) int {
+	return bytes.Compare(a.name(list), b.name(list))
+}
+
+// nextRecord parses the record at list[pos:]: its name is
+// list[name:name+nameLen] and the next record starts at next.
+func nextRecord(list []byte, pos int) (name, nameLen int, tomb bool, next int, err error) {
+	hdr, n := binary.Uvarint(list[pos:])
+	if n <= 0 {
+		return 0, 0, false, 0, ErrCorruptDirentList
+	}
+	pos += n
+	need := hdr >> 1
+	tomb = hdr&1 == 1
+	if !tomb {
+		need += uuid.Size
+	}
+	if uint64(len(list)-pos) < need {
+		return 0, 0, false, 0, ErrCorruptDirentList
+	}
+	return pos, int(hdr >> 1), tomb, pos + int(need), nil
+}
+
+// indexDirents walks the log and returns, in log order, the index of every
+// record whose name sorts after cursor (every record for cursor ""). A
+// counting pass sizes the index in one allocation.
+func indexDirents(list []byte, cursor string) ([]direntRec, error) {
+	total, err := DirentRecords(list)
+	if err != nil {
+		return nil, err
+	}
+	recs := make([]direntRec, 0, total)
+	for pos, seq := 0, uint32(0); pos < len(list); seq++ {
+		at, nameLen, tomb, next, _ := nextRecord(list, pos)
+		pos = next
+		name := list[at : at+nameLen]
+		if cursor != "" && string(name) <= cursor {
+			continue
+		}
+		r := direntRec{off: uint32(at), n: uint32(nameLen), seq: seq}
+		if tomb {
+			r.n |= recTomb
+		}
+		recs = append(recs, r)
+	}
+	return recs, nil
+}
+
+// direntSeed seeds the name hash liveDirents deduplicates with.
+var direntSeed = maphash.MakeSeed()
+
+// liveDirents resolves an index to one record per live name, in log order
+// of those records: "last record for a name wins", found through a
+// pointer-free open-addressing table instead of a sort. Each returned
+// record locates the name's last record (name and UUID) and carries in seq
+// the log position of the name's first live record — the first-insertion
+// order DecodeDirents lists in. recs is reused for the result.
+func liveDirents(list []byte, recs []direntRec) []direntRec {
+	// slot: 1 + index into recs of the name's last record so far, and
+	// 1 + seq of its first live record; 0 = none.
+	type slot struct{ last, first int32 }
+	size := 4
+	for size < 2*len(recs) {
+		size <<= 1
+	}
+	slots := make([]slot, size)
+	mask := uint64(size - 1)
+	for i, r := range recs {
+		name := r.name(list)
+		h := maphash.Bytes(direntSeed, name) & mask
+		for slots[h].last != 0 {
+			if o := recs[slots[h].last-1]; bytes.Equal(o.name(list), name) {
+				break
+			}
+			h = (h + 1) & mask
+		}
+		sl := &slots[h]
+		sl.last = int32(i + 1)
+		if sl.first == 0 && !r.tomb() {
+			sl.first = int32(r.seq) + 1
+		}
+	}
+	// Mark each live winner by moving its first-live seq into it, then
+	// compact the winners to the front in log order.
+	win := make([]bool, len(recs))
+	for _, sl := range slots {
+		if sl.last != 0 && !recs[sl.last-1].tomb() {
+			recs[sl.last-1].seq = uint32(sl.first - 1)
+			win[sl.last-1] = true
+		}
+	}
+	out := recs[:0]
+	for i, r := range recs {
+		if win[i] {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// liveIndex is indexDirents followed by liveDirents.
+func liveIndex(list []byte, cursor string) ([]direntRec, error) {
+	recs, err := indexDirents(list, cursor)
+	if err != nil {
+		return nil, err
+	}
+	return liveDirents(list, recs), nil
+}
+
+// sortRecs orders records of distinct names by name.
+func sortRecs(list []byte, recs []direntRec) {
+	slices.SortFunc(recs, func(a, b direntRec) int { return compareRecs(list, a, b) })
+}
+
+// selectRec partially orders recs so that recs[k] is the record that sorts
+// k-th, with no later-sorting record before it and no earlier one after it
+// (Hoare's selection, middle pivot; expected O(len(recs))). A pathological
+// input that keeps the range from shrinking falls back to sorting it.
+func selectRec(list []byte, recs []direntRec, k int) {
+	selectRecBudget(list, recs, k, 2*bits.Len(uint(len(recs))))
+}
+
+// selectRecBudget is selectRec allowing budget partition rounds.
+func selectRecBudget(list []byte, recs []direntRec, k, budget int) {
+	lo, hi := 0, len(recs)-1
+	for ; lo < hi; budget-- {
+		if budget == 0 {
+			sortRecs(list, recs[lo:hi+1])
+			return
+		}
+		pivot := recs[lo+(hi-lo)/2]
+		i, j := lo, hi
+		for i <= j {
+			for compareRecs(list, recs[i], pivot) < 0 {
+				i++
+			}
+			for compareRecs(list, pivot, recs[j]) < 0 {
+				j--
+			}
+			if i <= j {
+				recs[i], recs[j] = recs[j], recs[i]
+				i++
+				j--
+			}
+		}
+		if j < k {
+			lo = i
+		}
+		if k < i {
+			hi = j
+		}
+	}
+}
+
 // CountDirents returns the number of live entries in the list.
 func CountDirents(list []byte) (int, error) {
-	ents, err := DecodeDirents(list)
-	if err != nil {
-		return 0, err
-	}
-	return len(ents), nil
+	live, err := liveIndex(list, "")
+	return len(live), err
 }
 
 // CompactDirents rewrites the log with tombstones (and the records they
 // killed) dropped, returning the compacted value and the live entry count.
+// Live entries keep DecodeDirents' first-insertion order, each with the
+// UUID of its name's last record.
 func CompactDirents(list []byte) ([]byte, int, error) {
-	ents, err := DecodeDirents(list)
+	live, err := liveIndex(list, "")
 	if err != nil {
 		return nil, 0, err
 	}
+	slices.SortFunc(live, func(a, b direntRec) int { return cmp.Compare(a.seq, b.seq) })
 	out := make([]byte, 0, len(list))
-	for _, e := range ents {
-		out = AppendDirent(out, e)
+	for _, r := range live {
+		out = binary.AppendUvarint(out, uint64(r.n)<<1)
+		out = append(out, list[r.off:r.off+r.n+uuid.Size]...)
 	}
-	return out, len(ents), nil
+	return out, len(live), nil
 }
 
 // DirentPage decodes the log and returns up to limit live entries in name
@@ -175,28 +339,57 @@ func DirentPage(list []byte, cursor string, limit int) (ents []Dirent, more bool
 // ignored when limit <= 0 (unbounded page). remaining is the exact number
 // of live entries beyond the returned page, letting clients size their
 // prefetch batches with no speculative over-fetch.
+//
+// One walk indexes the records after cursor and a hash table resolves each
+// name's last record; a selection then isolates the page's window, so only
+// the page is sorted and only its names become strings.
 func DirentPageAt(list []byte, cursor string, skip, limit int) (ents []Dirent, remaining int, err error) {
-	all, err := DecodeDirents(list)
+	live, err := liveIndex(list, cursor)
 	if err != nil {
 		return nil, 0, err
 	}
-	SortDirents(all)
-	start := 0
-	if cursor != "" {
-		start = sort.Search(len(all), func(i int) bool { return all[i].Name > cursor })
+	if limit <= 0 {
+		sortRecs(list, live)
+		return pageDirents(list, live), 0, nil
 	}
-	all = all[start:]
-	if limit > 0 && skip > 0 {
-		off := skip * limit
-		if off >= len(all) {
-			return nil, 0, nil
-		}
-		all = all[off:]
+	lo := max(skip, 0) * limit
+	if lo > 0 && lo >= len(live) {
+		return nil, 0, nil
 	}
-	if limit > 0 && len(all) > limit {
-		return all[:limit], len(all) - limit, nil
+	hi := min(lo+limit, len(live))
+	if lo > 0 {
+		selectRec(list, live, lo)
 	}
-	return all, 0, nil
+	page := live[lo:]
+	if hi < len(live) {
+		selectRec(list, page, hi-lo)
+	}
+	page = page[:hi-lo]
+	sortRecs(list, page)
+	return pageDirents(list, page), len(live) - hi, nil
+}
+
+// pageDirents materializes a page of winning live records. Their names are
+// copied into one string that the entries slice, so a page costs two
+// allocations whatever its length.
+func pageDirents(list []byte, page []direntRec) []Dirent {
+	size := 0
+	for _, r := range page {
+		size += int(r.n)
+	}
+	names := make([]byte, 0, size)
+	for _, r := range page {
+		names = append(names, r.name(list)...)
+	}
+	all := string(names)
+	ents := make([]Dirent, len(page))
+	at := 0
+	for i, r := range page {
+		ents[i].Name = all[at : at+int(r.n)]
+		at += int(r.n)
+		copy(ents[i].UUID[:], list[r.off+r.n:])
+	}
+	return ents
 }
 
 // DirentRecords returns the total record count (live + tombstones), which
