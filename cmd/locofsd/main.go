@@ -40,10 +40,12 @@
 // -dms-groups (partition groups separated by ";", replica addresses
 // comma-separated leader-first) and -dms-cuts (cut directories, assigned
 // round-robin to partitions 1..N-1), plus its own -partition/-replica
-// coordinates; clients add -dms-sharded and dial partition 0's leader as
-// the bootstrap -dms. Note the wire-format flag day: sharded-era binaries
-// carry a partition-map version in every message header, so servers and
-// clients must be built from the same release.
+// coordinates; clients dial partition 0's leader as the bootstrap -dms
+// (-dms-sharded makes the client refuse a DMS that serves no cluster map).
+// Note the wire-format flag day: the message header is 61 bytes and
+// carries one cluster-map version, where earlier sharded-era binaries sent
+// 69 bytes with a separate partition-map version, so servers and clients
+// must be built from the same release.
 //
 // Replication-plane knobs: -dms-log-cap bounds each partition's retained
 // op log (the leader truncates entries below the group-wide applied
@@ -51,7 +53,7 @@
 // how often a follower probes its leader for missed entries, so a replica
 // that was excluded after an unreachable spell catches up and rejoins the
 // live fan-out set on its own (default 5s; 0 limits catch-up to the
-// on-demand triggers: append gaps and partition-map installs).
+// on-demand triggers: append gaps and cluster-map installs).
 //
 //	locofsd -role dms -listen :7000 -partition 0 -replica 0 \
 //	        -dms-groups "h0:7000,h0:7010;h1:7001,h1:7011" -dms-cuts /data
@@ -137,7 +139,7 @@ func main() {
 	dmsCuts := flag.String("dms-cuts", "", "comma-separated namespace cut directories, assigned round-robin to partitions 1..N-1 (dms role with -dms-groups)")
 	dmsPartition := flag.Int("partition", 0, "this node's partition id (dms role with -dms-groups)")
 	dmsReplica := flag.Int("replica", 0, "this node's replica slot in its partition group, 0 = leader (dms role with -dms-groups)")
-	dmsSharded := flag.Bool("dms-sharded", false, "route directory operations by partition map fetched from -dms (client role against a -dms-groups deployment)")
+	dmsSharded := flag.Bool("dms-sharded", false, "require the DMS at -dms to serve a cluster map (client role against a -dms-groups deployment)")
 	dmsLogCap := flag.Int("dms-log-cap", 0, "retained op-log entries per DMS partition before the leader truncates below the group-wide applied watermark (dms role with -dms-groups; 0 = default 4096)")
 	dmsCatchup := flag.Duration("dms-catchup", 5*time.Second, "how often a follower replica probes its leader for missed log entries so an excluded replica rejoins on its own (dms role with -dms-groups; 0 = on-demand only)")
 	lease := flag.Duration("lease", 0, "directory cache lease for the TTL-only fallback (client role; 0 = default 30s)")
@@ -203,14 +205,13 @@ func main() {
 		srv.extraReg = d.RegisterMetrics
 		attach := d.Attach
 		if *dmsGroups != "" {
-			pm, self, err := parsePartMap(*dmsGroups, *dmsCuts, *dmsPartition, *dmsReplica)
+			pm, self, err := parseDMSGroups(*dmsGroups, *dmsCuts, *dmsPartition, *dmsReplica)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "locofsd:", err)
 				os.Exit(2)
 			}
 			node := partition.New(partition.Config{
 				PID:          uint32(*dmsPartition),
-				Index:        *dmsReplica,
 				Self:         self,
 				Map:          pm,
 				DMS:          d,
@@ -275,14 +276,16 @@ type serverFlags struct {
 	extraReg func(*telemetry.Registry)
 }
 
-// parsePartMap builds the version-1 partition map every node of a sharded
-// deployment starts from: groups is the -dms-groups spec (semicolon-
-// separated partitions, comma-separated replica addresses leader-first),
-// cuts the -dms-cuts list assigned round-robin to partitions 1..N-1 in
-// order — the same convention as the in-process cluster. It returns the map
-// and this node's own address (groups[pid][rep]).
-func parsePartMap(groups, cuts string, pid, rep int) (*wire.PartMap, string, error) {
-	pm := &wire.PartMap{Ver: 1}
+// parseDMSGroups builds the version-1 cluster map every node of a sharded
+// deployment starts from. It holds the DMS half only: the FMS set stays
+// the clients' configured one until a coordinator installs a map naming
+// it. groups is the -dms-groups spec (semicolon-separated partitions,
+// comma-separated replica addresses leader-first), cuts the -dms-cuts list
+// assigned round-robin to partitions 1..N-1 in order — the same convention
+// as the in-process cluster. It returns the map and this node's own
+// address (groups[pid][rep]).
+func parseDMSGroups(groups, cuts string, pid, rep int) (*wire.ClusterMap, string, error) {
+	pm := &wire.ClusterMap{Ver: 1}
 	for _, g := range strings.Split(groups, ";") {
 		var addrs []string
 		for _, a := range strings.Split(g, ",") {
@@ -520,7 +523,7 @@ type cacheFlags struct {
 	hotEntries int
 	hotFactor  int
 	hotRefresh time.Duration
-	sharded    bool // -dms-sharded: route directory ops by partition map
+	sharded    bool // -dms-sharded: require the DMS to serve a cluster map
 }
 
 // runClient connects to a TCP cluster and executes simple commands.

@@ -40,14 +40,11 @@ type Config struct {
 	Link netsim.LinkConfig
 	// DMSAddr is the directory metadata server address. Against a sharded
 	// DMS this is the bootstrap endpoint — any replica of any partition —
-	// from which the client fetches the partition map.
+	// from which the client fetches the cluster map.
 	DMSAddr string
-	// DMSSharded declares the DMS partitioned: Dial fetches the partition
-	// map synchronously before returning (failing if no replica serves
-	// one), so the first operation routes correctly instead of discovering
-	// the sharding through an EWRONGPART round trip. Leave false for an
-	// unsharded DMS; the client then also adopts a map pushed via response
-	// headers, just lazily.
+	// DMSSharded declares the DMS partitioned: Dial fails unless the DMS
+	// serves a cluster map. Dial fetches the map either way; without one
+	// the client routes by its own configuration (a static topology).
 	DMSSharded bool
 	// FMSAddrs lists file metadata servers; the slice index is the server
 	// ID used by the consistent-hash ring (unless FMSIDs overrides it).
@@ -160,42 +157,26 @@ func WithBreaker(b BreakerConfig) DialOption {
 
 // Client is one LocoLib instance. It is safe for concurrent use.
 type Client struct {
-	dms   *endpoint
 	oss   []*endpoint
 	oring *chash.Ring
 	cache *dirCache // nil when disabled
 	uid   uint32
 	gid   uint32
 
-	// FMS routing is epoch-versioned (see view.go): view holds the
-	// immutable current picture, eps is the by-address connection registry
-	// feeding it, maxEpoch the highest membership epoch seen on the wire,
-	// and refreshing collapses concurrent async refreshes into one.
-	view       atomic.Pointer[fmsView]
-	viewMu     sync.Mutex // serializes view installs
-	epMu       sync.Mutex
-	eps        map[string]*endpoint
-	dialFMS    func(addr string) (*endpoint, error)
-	maxEpoch   atomic.Uint64
-	refreshing atomic.Bool
-
-	// DMS partition routing (see route.go): pmap holds the installed
-	// partition map (nil against an unsharded DMS — the zero-cost legacy
-	// mode), dmsEps is the by-address DMS connection registry (the
-	// bootstrap endpoint is seeded under dmsAddr), maxPVer the highest map
-	// version seen on the wire, and pmRefreshing collapses concurrent
-	// async map refreshes into one.
-	pmap         atomic.Pointer[wire.PartMap]
-	pmapMu       sync.Mutex // serializes map installs
-	pmapFetchMu  sync.Mutex // serializes map fetches
-	pmFetchGen   atomic.Uint64
-	maxPVer      atomic.Uint64
-	pmRefreshing atomic.Bool
-	dmsEpMu      sync.Mutex
-	dmsEps       map[string]*endpoint
-	dialDMSPart  func(addr string, pid uint32) (*endpoint, error)
-	dmsAddr      string
-	res          *resilience
+	// Routing (see clustermap.go): view is the installed cluster map
+	// resolved to endpoints; static the version-0 map built from this
+	// client's configuration; wireVer the highest map version seen on the
+	// wire. fetchMu and fetchGen make map fetches single-flight. eps is the
+	// by-address connection registry every view draws from.
+	view     atomic.Pointer[clusterView]
+	static   *wire.ClusterMap
+	wireVer  atomic.Uint64
+	fetchMu  sync.Mutex
+	fetchGen atomic.Uint64
+	epMu     sync.Mutex
+	eps      map[string]*endpoint
+	newEp    func(addr string, pid uint32) *endpoint
+	res      *resilience
 
 	serialFanOut bool
 	disableBatch bool
@@ -313,54 +294,31 @@ func Dial(cfg Config, opts ...DialOption) (*Client, error) {
 	}
 	res := newResilience(cfg.OpTimeout, cfg.Retry, cfg.Breaker, cfg.Now)
 	c.res = res
-	dial := func(addr string) (*endpoint, error) {
-		return dialEndpoint(cfg.Dialer, addr, cfg.Link, c.telem, res, c.observeEpoch, c.observeLease, nil)
-	}
-	c.eps = make(map[string]*endpoint)
-	c.dialFMS = dial
-	// DMS endpoints bind their lease hook to the partition they serve (so
+	// DMS endpoints bind their lease hook to the partition they serve, so
 	// recall sequences from different partitions land in different cache
-	// watermark sources) and report partition-map versions to the router.
-	c.dmsEps = make(map[string]*endpoint)
-	c.dmsAddr = cfg.DMSAddr
-	c.dialDMSPart = func(addr string, pid uint32) (*endpoint, error) {
-		return dialEndpoint(cfg.Dialer, addr, cfg.Link, c.telem, res, c.observeEpoch,
-			func(seq uint64) { c.observeLeaseFrom(pid, seq) }, c.observePMap)
-	}
-	var err error
-	if c.dms, err = c.dmsEndpointAt(cfg.DMSAddr, 0); err != nil {
-		return nil, fmt.Errorf("client: dial DMS: %w", err)
+	// watermark sources.
+	c.eps = make(map[string]*endpoint)
+	c.newEp = func(addr string, pid uint32) *endpoint {
+		return newEndpoint(cfg.Dialer, addr, cfg.Link, c.telem, res, c.observe,
+			func(seq uint64) { c.observeLeaseFrom(pid, seq) })
 	}
 	if cfg.FMSIDs != nil && len(cfg.FMSIDs) != len(cfg.FMSAddrs) {
-		c.Close()
 		return nil, fmt.Errorf("client: FMSIDs/FMSAddrs length mismatch")
 	}
-	// The initial view is epoch 0 — a static topology. A cluster running
-	// the membership protocol stamps its epoch on the first response and
-	// the client refreshes to the real membership from there.
-	members := make([]fmsMember, 0, len(cfg.FMSAddrs))
-	ids := make([]int, 0, len(cfg.FMSAddrs))
+	// The configured topology is the version-0 map: one DMS partition at
+	// DMSAddr and the listed FMS set. Dial replaces it with the cluster's
+	// installed map, if the DMS serves one.
+	c.static = &wire.ClusterMap{Groups: [][]string{{cfg.DMSAddr}}}
 	for i, a := range cfg.FMSAddrs {
-		ep, err := c.fmsEndpoint(a)
-		if err != nil {
-			c.Close()
-			return nil, fmt.Errorf("client: dial FMS %s: %w", a, err)
-		}
 		id := i
 		if cfg.FMSIDs != nil {
 			id = cfg.FMSIDs[i]
 		}
-		members = append(members, fmsMember{id: int32(id), ep: ep})
-		ids = append(ids, id)
+		c.static.FMS = append(c.static.FMS, wire.Member{ID: int32(id), Addr: a})
 	}
-	c.view.Store(&fmsView{cur: members, ring: chash.NewRing(0, ids...)})
+	c.install(c.static)
 	for _, a := range cfg.OSSAddrs {
-		cl, err := dial(a)
-		if err != nil {
-			c.Close()
-			return nil, fmt.Errorf("client: dial OSS %s: %w", a, err)
-		}
-		c.oss = append(c.oss, cl)
+		c.oss = append(c.oss, c.endpoint(a, 0))
 	}
 	oids := make([]int, len(c.oss))
 	for i := range oids {
@@ -393,27 +351,32 @@ func Dial(cfg Config, opts ...DialOption) (*Client, error) {
 			return float64(c.cache.size())
 		}, c.label)
 	}
-	// Against a declared-sharded DMS, fetch the partition map before the
-	// first operation: routing is then correct from the start and the
-	// membership fetch below already goes to the right leader.
-	if cfg.DMSSharded {
-		if err := c.refreshPartMap(opCtx{}, ""); err != nil {
+	// Dial every configured FMS and object store now, so a wrong or
+	// unreachable address fails Dial rather than the first operation.
+	for _, f := range c.static.FMS {
+		if _, err := c.endpoint(f.Addr, 0).current(); err != nil {
 			c.Close()
-			return nil, fmt.Errorf("client: fetch partition map: %w", err)
-		}
-		if c.pmap.Load() == nil {
-			c.Close()
-			return nil, fmt.Errorf("client: DMS at %s serves no partition map", cfg.DMSAddr)
+			return nil, fmt.Errorf("client: dial FMS %s: %w", f.Addr, err)
 		}
 	}
-	// Align the view with the cluster's installed membership (if any) up
-	// front: the static config above may be behind a cluster that has
-	// already grown or shrunk, and a synchronous refresh here means the
-	// first workload response never triggers a background one — keeping
+	for _, e := range c.oss {
+		if _, err := e.current(); err != nil {
+			c.Close()
+			return nil, fmt.Errorf("client: dial OSS %s: %w", e.addr, err)
+		}
+	}
+	// Fetch the cluster's installed map up front: the configuration above
+	// may be behind a cluster that has already grown, shrunk, failed over
+	// or been partitioned, and a synchronous fetch here means the first
+	// workload response never triggers a background one — keeping
 	// per-operation trip counts deterministic.
-	if err := c.refreshView(opCtx{}); err != nil {
+	if err := c.refresh(opCtx{}, ""); err != nil {
 		c.Close()
-		return nil, fmt.Errorf("client: fetch membership: %w", err)
+		return nil, fmt.Errorf("client: fetch cluster map: %w", err)
+	}
+	if cfg.DMSSharded && c.view.Load().m == c.static {
+		c.Close()
+		return nil, fmt.Errorf("client: DMS at %s serves no cluster map", cfg.DMSAddr)
 	}
 	return c, nil
 }
@@ -432,12 +395,7 @@ func (c *Client) Close() error {
 	if c.cache != nil {
 		c.cache.met.unregister(c.telem.reg, c.label)
 	}
-	fmsEps := c.fmsEndpoints()
-	dmsEps := c.dmsEndpoints()
-	eps := make([]*endpoint, 0, len(dmsEps)+len(fmsEps)+len(c.oss))
-	eps = append(eps, dmsEps...)
-	eps = append(eps, fmsEps...)
-	eps = append(eps, c.oss...)
+	eps := c.endpointList()
 	c.fanOut(opCtx{}, "close", len(eps), func(_ opCtx, i int) (time.Duration, error) {
 		eps[i].Close()
 		return 0, nil
@@ -449,14 +407,8 @@ func (c *Client) Close() error {
 // unit the paper's latency figures are normalized in.
 func (c *Client) Trips() uint64 {
 	var n uint64
-	for _, cl := range c.dmsEndpoints() {
-		n += cl.Trips()
-	}
-	for _, cl := range c.fmsEndpoints() {
-		n += cl.Trips()
-	}
-	for _, cl := range c.oss {
-		n += cl.Trips()
+	for _, e := range c.endpointList() {
+		n += e.Trips()
 	}
 	return n
 }
@@ -468,14 +420,8 @@ func (c *Client) Trips() uint64 {
 // the delta of Cost around the operation.
 func (c *Client) Cost() time.Duration {
 	var d time.Duration
-	for _, cl := range c.dmsEndpoints() {
-		d += cl.VirtualTime()
-	}
-	for _, cl := range c.fmsEndpoints() {
-		d += cl.VirtualTime()
-	}
-	for _, cl := range c.oss {
-		d += cl.VirtualTime()
+	for _, e := range c.endpointList() {
+		d += e.VirtualTime()
 	}
 	return d - time.Duration(c.parSavedNS.Load())
 }
@@ -499,13 +445,17 @@ func (c *Client) CacheDetail() CacheDetail {
 	return c.cache.detail()
 }
 
-// FMSCount returns the number of file metadata servers in the current
-// membership view.
+// FMSCount returns the number of file metadata servers in the installed
+// cluster map.
 func (c *Client) FMSCount() int { return len(c.view.Load().cur) }
 
-// Epoch returns the client's installed membership epoch (zero on a static
-// topology).
-func (c *Client) Epoch() uint64 { return c.view.Load().epoch }
+// Epoch returns the version of the client's installed cluster map (zero on
+// a static topology).
+func (c *Client) Epoch() uint64 { return c.view.Load().m.Ver }
+
+// ClusterMap returns the client's installed cluster map. It is shared and
+// must not be modified; derive a change from it with Next.
+func (c *Client) ClusterMap() *wire.ClusterMap { return c.view.Load().m }
 
 // ossFor returns the object store endpoint owning block blk of u.
 func (c *Client) ossFor(u uuid.UUID, blk uint64) *endpoint {
@@ -857,7 +807,7 @@ func (c *Client) resolveForReaddir(cleaned string, oc opCtx) (ino layout.DirInod
 		ino, err = c.resolveDir(cleaned, oc)
 		return ino, nil, false, 0, false, err
 	}
-	if pm := c.partMap(); pm != nil && pm.Locate(cleaned) != pm.LocateList(cleaned) {
+	if m := c.view.Load().m; m.Locate(cleaned) != m.LocateList(cleaned) {
 		// cleaned is a partition cut: its inode lives with its parent's
 		// partition while its listing lives on the partition it roots, so
 		// the lookup and the first page cannot share one batch. Resolve
@@ -1390,7 +1340,7 @@ func (c *Client) RenameDirContext(ctx context.Context, oldPath, newPath string) 
 	if c.cache != nil {
 		last, n := decodePub(d)
 		cross := false
-		if pm := c.partMap(); pm != nil && pm.Locate(oldC) != pm.Locate(newC) {
+		if m := c.view.Load().m; m.Locate(oldC) != m.Locate(newC) {
 			cross = true
 		}
 		if !cross {

@@ -90,9 +90,9 @@ type endpoint struct {
 	res    *resilience  // never nil
 	brk    *breaker     // never nil (may be disabled)
 
-	// onEpoch, when set, receives the membership epoch stamped on every
+	// onEpoch, when set, receives the cluster map version stamped on every
 	// response (see wire.Msg.Epoch) — the client's passive channel for
-	// noticing an FMS membership change without any push protocol.
+	// noticing a routing change without any push protocol.
 	onEpoch func(epoch uint64)
 
 	// onLease, when set, receives the recall sequence stamped on every
@@ -102,12 +102,6 @@ type endpoint struct {
 	// partition id, so sequences from different lease tables never mix.
 	onLease func(seq uint64)
 
-	// onPMap, when set, receives the partition-map version stamped on
-	// every response (see wire.Msg.PMap) — the passive channel for
-	// noticing that the DMS partition map changed (a failover or re-split)
-	// without any push protocol.
-	onPMap func(ver uint64)
-
 	mu        sync.Mutex
 	cl        *rpc.Client
 	baseTrips uint64
@@ -115,24 +109,19 @@ type endpoint struct {
 	closed    bool
 }
 
-// dialEndpoint connects the first generation.
-func dialEndpoint(d netsim.Dialer, addr string, link netsim.LinkConfig, telem *clientTelem, res *resilience, onEpoch, onLease, onPMap func(uint64)) (*endpoint, error) {
-	e := &endpoint{dialer: d, addr: addr, link: link, telem: telem, res: res, onEpoch: onEpoch, onLease: onLease, onPMap: onPMap}
+// newEndpoint returns an endpoint for addr; its first call dials.
+func newEndpoint(d netsim.Dialer, addr string, link netsim.LinkConfig, telem *clientTelem, res *resilience, onEpoch, onLease func(uint64)) *endpoint {
+	e := &endpoint{dialer: d, addr: addr, link: link, telem: telem, res: res, onEpoch: onEpoch, onLease: onLease}
 	e.brk = newBreaker(res.breaker, res.now, func(state string) {
 		telem.reg.Counter(MetricBreaker,
 			telemetry.L("addr", addr), telemetry.L("state", state)).Inc()
 		telem.fl.Emit(flight.KindBreaker, "client", "", 0, 0, addr+" "+state)
 	})
-	cl, err := rpc.Dial(d, addr)
-	if err != nil {
-		return nil, err
-	}
-	cl.SetLink(link)
-	e.cl = cl
-	return e, nil
+	return e
 }
 
-// current returns the live connection, redialing if the previous one died.
+// current returns the live connection, dialing if there is none yet or the
+// previous one died.
 func (e *endpoint) current() (*rpc.Client, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -388,7 +377,6 @@ func (e *endpoint) callOnce(oc opCtx, sp *trace.Span, op wire.Op, body []byte, r
 		Timeout: e.res.timeout,
 		OnEpoch: e.onEpoch,
 		OnLease: e.onLease,
-		OnPMap:  e.onPMap,
 	})
 	if err != nil {
 		// The connection is unusable (died) or suspect (a response may

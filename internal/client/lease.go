@@ -19,15 +19,11 @@ import (
 // Config.HotRefreshInterval is zero.
 const DefaultHotRefreshInterval = 5 * time.Second
 
-// observeLease receives the recall sequence stamped on every response
-// header (rpc.CallSpec.OnLease) by the single unsharded DMS. TTL-only
-// caches ignore it: they trust entries for the configured lease regardless
-// of server-side mutations.
-func (c *Client) observeLease(seq uint64) { c.observeLeaseFrom(0, seq) }
-
-// observeLeaseFrom receives a recall sequence stamped by DMS partition src.
-// Each partition endpoint's OnLease hook is bound to its partition id, so
-// the per-source cache watermarks never mix incomparable sequences.
+// observeLeaseFrom receives a recall sequence stamped by DMS partition src
+// (rpc.CallSpec.OnLease). Each endpoint's hook is bound to its partition
+// id, so the per-source cache watermarks never mix incomparable sequences.
+// TTL-only caches ignore it: they trust entries for the configured lease
+// regardless of server-side mutations.
 func (c *Client) observeLeaseFrom(src uint32, seq uint64) {
 	if ca := c.cache; ca != nil && ca.coherent {
 		ca.observeFrom(src, seq)

@@ -4,9 +4,9 @@ package client
 // membership change runs entirely through public wire ops, so any client
 // (including the locofsd admin CLI) can drive one against a live cluster:
 //
-//  1. Install the intermediate membership (epoch E+1) on every server:
+//  1. Install the intermediate cluster map (version V+1) on every server:
 //     the new FMS set with the outgoing set in Prev. From this moment the
-//     migration window is open — servers stamp the new epoch on every
+//     migration window is open — servers stamp the new version on every
 //     response, clients notice and switch to dual-read routing, and the
 //     FMS create-guard refuses creates for keys it no longer owns.
 //  2. Drain each outgoing-set server: scan for files the new ring places
@@ -16,15 +16,17 @@ package client
 //     A source copy mutated after its export is left in place and picked
 //     up by the next scan pass; the loop runs until a scan comes back
 //     clean, so no concurrent update is ever lost.
-//  3. Install the final membership (epoch E+2) with an empty Prev,
-//     closing the window.
+//  3. Install the final map (version V+2) with an empty Prev, closing the
+//     window.
 //
 // Only ~1/n of the keyspace moves on a grow (consistent hashing); the
 // namespace stays fully readable throughout because reads fall back to
 // the previous owner until the key has landed.
 
 import (
+	"context"
 	"fmt"
+	"time"
 
 	"locofs/internal/chash"
 	"locofs/internal/flight"
@@ -44,44 +46,22 @@ const MetricMigratedKeys = "locofs_client_migrated_keys_total"
 
 // RebalanceReport summarizes one membership change.
 type RebalanceReport struct {
-	FromEpoch uint64 // membership epoch before the change
-	ToEpoch   uint64 // final epoch (FromEpoch + 2)
+	FromEpoch uint64 // cluster map version before the change
+	ToEpoch   uint64 // final version (FromEpoch + 2)
 	Total     int    // files held by the outgoing set before the change
 	Moved     int    // files relocated (installs at new owners)
 	Passes    int    // scan passes across all sources until clean
 }
 
-// ClusterMembership fetches the installed membership from the DMS, or nil
-// when the cluster runs a static topology (none was ever installed).
-func (c *Client) ClusterMembership() (*wire.Membership, error) {
-	st, resp, err := c.dms.CallT(opCtx{}, wire.OpGetMembership, nil)
-	if err != nil {
-		return nil, err
-	}
-	if st == wire.StatusNotFound {
-		return nil, nil
-	}
-	if st != wire.StatusOK {
-		return nil, st.Err()
-	}
-	return wire.DecodeMembership(resp)
-}
-
-// currentMembership returns the cluster membership to base a change on:
-// the DMS's installed one, or — bootstrapping a cluster that never ran
-// the protocol — a synthetic epoch-0 membership from this client's static
-// configuration.
-func (c *Client) currentMembership() (*wire.Membership, error) {
-	m, err := c.ClusterMembership()
+// currentMap returns the cluster map to base a change on: the DMS's
+// installed one, or — bootstrapping a cluster that never ran a map change —
+// this client's version-0 map from its static configuration.
+func (c *Client) currentMap(oc opCtx) (*wire.ClusterMap, error) {
+	m, err := c.fetchMap(oc, "")
 	if err != nil || m != nil {
 		return m, err
 	}
-	v := c.view.Load()
-	m = &wire.Membership{}
-	for _, mm := range v.cur {
-		m.FMS = append(m.FMS, wire.Member{ID: mm.id, Addr: mm.ep.addr})
-	}
-	return m, nil
+	return c.static, nil
 }
 
 // AddFMS grows the FMS set by one server (ring ID id, reachable at addr)
@@ -89,17 +69,14 @@ func (c *Client) currentMembership() (*wire.Membership, error) {
 // be new — ring IDs are stable for the life of the cluster and never
 // reused.
 func (c *Client) AddFMS(id int32, addr string) (*RebalanceReport, error) {
-	cur, err := c.currentMembership()
-	if err != nil {
-		return nil, err
-	}
-	for _, m := range cur.FMS {
-		if m.ID == id {
-			return nil, fmt.Errorf("client: ring ID %d already in use by %s", id, m.Addr)
+	return c.changeFMS(func(cur []wire.Member) ([]wire.Member, error) {
+		for _, m := range cur {
+			if m.ID == id {
+				return nil, fmt.Errorf("client: ring ID %d already in use by %s", id, m.Addr)
+			}
 		}
-	}
-	next := append(append([]wire.Member{}, cur.FMS...), wire.Member{ID: id, Addr: addr})
-	return c.changeFMS(cur, next)
+		return append(append([]wire.Member{}, cur...), wire.Member{ID: id, Addr: addr}), nil
+	})
 }
 
 // RemoveFMS shrinks the FMS set by the server with ring ID id, first
@@ -107,36 +84,43 @@ func (c *Client) AddFMS(id int32, addr string) (*RebalanceReport, error) {
 // running (it serves dual-reads until the window closes); shutting it down
 // is the operator's call once the change reports success.
 func (c *Client) RemoveFMS(id int32) (*RebalanceReport, error) {
-	cur, err := c.currentMembership()
+	return c.changeFMS(func(cur []wire.Member) ([]wire.Member, error) {
+		next := make([]wire.Member, 0, len(cur))
+		for _, m := range cur {
+			if m.ID != id {
+				next = append(next, m)
+			}
+		}
+		if len(next) == len(cur) {
+			return nil, fmt.Errorf("client: no FMS with ring ID %d", id)
+		}
+		if len(next) == 0 {
+			return nil, fmt.Errorf("client: cannot remove the last FMS")
+		}
+		return next, nil
+	})
+}
+
+// changeFMS runs the three-step membership change from the current FMS set
+// to the one edit derives from it.
+func (c *Client) changeFMS(edit func(cur []wire.Member) ([]wire.Member, error)) (rep *RebalanceReport, err error) {
+	oc := c.startOp("ChangeFMS")
+	defer func() { oc.finish(err) }()
+	cur, err := c.currentMap(oc)
 	if err != nil {
 		return nil, err
 	}
-	next := make([]wire.Member, 0, len(cur.FMS))
-	for _, m := range cur.FMS {
-		if m.ID != id {
-			next = append(next, m)
-		}
+	next, err := edit(cur.FMS)
+	if err != nil {
+		return nil, err
 	}
-	if len(next) == len(cur.FMS) {
-		return nil, fmt.Errorf("client: no FMS with ring ID %d", id)
-	}
-	if len(next) == 0 {
-		return nil, fmt.Errorf("client: cannot remove the last FMS")
-	}
-	return c.changeFMS(cur, next)
-}
-
-// changeFMS runs the three-step membership change from cur to the next
-// FMS set.
-func (c *Client) changeFMS(cur *wire.Membership, next []wire.Member) (rep *RebalanceReport, err error) {
-	oc := c.startOp("ChangeFMS")
-	defer func() { oc.finish(err) }()
-	rep = &RebalanceReport{FromEpoch: cur.Epoch, ToEpoch: cur.Epoch + 2}
+	rep = &RebalanceReport{FromEpoch: cur.Ver, ToEpoch: cur.Ver + 2}
 
 	// Step 1: open the migration window.
-	open := &wire.Membership{Epoch: cur.Epoch + 1, FMS: next, Prev: cur.FMS}
-	if err := c.pushMembership(oc, open); err != nil {
-		return rep, fmt.Errorf("client: install epoch %d: %w", open.Epoch, err)
+	open := cur.Next()
+	open.FMS, open.Prev = next, cur.FMS
+	if err := c.pushMap(oc, open); err != nil {
+		return rep, fmt.Errorf("client: install map version %d: %w", open.Ver, err)
 	}
 
 	// The next ring, for grouping moved files by destination.
@@ -190,53 +174,106 @@ func (c *Client) changeFMS(cur *wire.Membership, next []wire.Member) (rep *Rebal
 	}
 
 	// Step 3: close the window.
-	closed := &wire.Membership{Epoch: cur.Epoch + 2, FMS: next}
-	if err := c.pushMembership(oc, closed); err != nil {
-		return rep, fmt.Errorf("client: install epoch %d: %w", closed.Epoch, err)
+	closed := open.Next()
+	closed.Prev = nil
+	if err := c.pushMap(oc, closed); err != nil {
+		return rep, fmt.Errorf("client: install map version %d: %w", closed.Ver, err)
 	}
-	c.installView(closed)
 	return rep, nil
 }
 
-// pushMembership installs m on every server: the DMS first (it is where
-// clients refresh from), then every FMS in the union of m's current and
-// previous sets (each told its own ring ID), then the object stores
-// (epoch tracking only).
-func (c *Client) pushMembership(oc opCtx, m *wire.Membership) error {
-	push := func(e *endpoint, self int) error {
-		st, _, err := e.CallT(oc, wire.OpSetMembership, wire.EncodeSetMembership(m, self))
-		if err != nil {
-			return err
+// PushClusterMap installs m on every server it names and then on this
+// client. It is the one way a cluster map changes — FMS membership changes
+// and DMS failovers alike derive m from the installed map with Next and
+// push it here.
+func (c *Client) PushClusterMap(m *wire.ClusterMap) (err error) {
+	oc := c.startOp("PushClusterMap")
+	defer func() { oc.finish(err) }()
+	return c.pushMap(oc, m)
+}
+
+// mapPushTimeout bounds a cluster-map push to one DMS follower. A
+// follower's install never waits on recovery (only a promoted leader
+// recovers inside its push), so one that has not answered by then is dark.
+const mapPushTimeout = time.Second
+
+// pushMap installs m on every server, each told its own address, and then
+// on this client. Partition 0's leader goes first: it is where two racing
+// changes of one version are told apart, so the losing change draws ESTALE
+// before any other server sees its map. The other partitions' leaders
+// follow (a failover's promoted replica among them), then the followers,
+// then every FMS in the union of the current and previous sets, then the
+// object stores (version tracking only). ESTALE from any server stops the
+// push. Any other failure is recorded and the push goes on, so one dark
+// server never keeps the map from the rest. A follower's push is bounded by
+// mapPushTimeout and its failure is only logged to the flight journal: its
+// leader excludes it from the fan-out set, and the next push reaches it
+// again. The first failure of a leader, FMS or object store is returned,
+// and then this client keeps its old map.
+func (c *Client) pushMap(oc opCtx, m *wire.ClusterMap) error {
+	var firstErr error
+	// push reports whether the push must stop.
+	push := func(oc opCtx, addr string, pid uint32, follower bool) bool {
+		if follower {
+			ctx := oc.ctx
+			if ctx == nil {
+				ctx = context.Background()
+			}
+			var cancel context.CancelFunc
+			oc.ctx, cancel = context.WithTimeout(ctx, mapPushTimeout)
+			defer cancel()
 		}
-		// ESTALE means a newer epoch is already installed — another
-		// coordinator won the race; this change must not proceed.
-		return st.Err()
+		st, _, err := c.endpoint(addr, pid).CallT(oc, wire.OpSetClusterMap, wire.EncodeSetClusterMap(m, addr))
+		if err == nil {
+			err = st.Err()
+		}
+		switch {
+		case err == nil:
+			return false
+		case st == wire.StatusStale:
+			// This version is installed with different contents, or a
+			// newer one is: another change won the race.
+			firstErr = fmt.Errorf("%s: %w", addr, err)
+			return true
+		case follower:
+			c.telem.fl.Emit(flight.KindEpoch, "client", "map_push_skipped", oc.tid, int64(m.Ver), addr)
+		case firstErr == nil:
+			firstErr = fmt.Errorf("%s: %w", addr, err)
+		}
+		return false
 	}
-	if err := push(c.dms, -1); err != nil {
-		return fmt.Errorf("dms: %w", err)
+	for pid, g := range m.Groups {
+		if len(g) > 0 && push(oc, g[0], uint32(pid), false) {
+			return firstErr
+		}
+	}
+	for pid, g := range m.Groups {
+		for _, addr := range g[min(1, len(g)):] {
+			if push(oc, addr, uint32(pid), true) {
+				return firstErr
+			}
+		}
 	}
 	pushed := make(map[string]bool, len(m.FMS)+len(m.Prev))
 	for _, set := range [][]wire.Member{m.FMS, m.Prev} {
-		for _, mm := range set {
-			if pushed[mm.Addr] {
-				continue
-			}
-			pushed[mm.Addr] = true
-			e, err := c.fmsEndpoint(mm.Addr)
-			if err != nil {
-				return fmt.Errorf("fms %s: %w", mm.Addr, err)
-			}
-			if err := push(e, int(mm.ID)); err != nil {
-				return fmt.Errorf("fms %s: %w", mm.Addr, err)
+		for _, f := range set {
+			if !pushed[f.Addr] {
+				pushed[f.Addr] = true
+				if push(oc, f.Addr, 0, false) {
+					return firstErr
+				}
 			}
 		}
 	}
 	for _, e := range c.oss {
-		if err := push(e, -1); err != nil {
-			return fmt.Errorf("oss %s: %w", e.addr, err)
+		if push(oc, e.addr, 0, false) {
+			return firstErr
 		}
 	}
-	return nil
+	if firstErr == nil {
+		c.install(m)
+	}
+	return firstErr
 }
 
 // movedFile is one exported file in coordinator hands: its placement key
@@ -252,10 +289,7 @@ type movedFile struct {
 // migrateScan asks src which of its files the next ring (ids) places
 // elsewhere, up to limit per call.
 func (c *Client) migrateScan(oc opCtx, src wire.Member, ids []int, limit int) (moved []movedFile, total int, more bool, err error) {
-	e, err := c.fmsEndpoint(src.Addr)
-	if err != nil {
-		return nil, 0, false, err
-	}
+	e := c.endpoint(src.Addr, 0)
 	enc := wire.NewEnc().I64(int64(src.ID)).U32(0).U32(uint32(len(ids)))
 	for _, id := range ids {
 		enc.I64(int64(id))
@@ -285,10 +319,7 @@ func (c *Client) migrateScan(oc opCtx, src wire.Member, ids []int, limit int) (m
 // migrateApply sends one install or delete per file to addr, packed into a
 // single wire.OpBatch message (or serially with batching disabled).
 func (c *Client) migrateApply(oc opCtx, addr string, op wire.Op, files []movedFile) error {
-	e, err := c.fmsEndpoint(addr)
-	if err != nil {
-		return err
-	}
+	e := c.endpoint(addr, 0)
 	mkBody := func(f movedFile) []byte {
 		return wire.NewEnc().UUID(f.dir).Str(f.name).Blob(f.access).Blob(f.content).Bytes()
 	}

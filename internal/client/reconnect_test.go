@@ -91,12 +91,9 @@ func TestEndpointRetryPreservesCounters(t *testing.T) {
 	l, _ := n.Listen("srv")
 	go rs1.Serve(l)
 
-	e, err := dialEndpoint(n, "srv", netsim.LinkConfig{RTT: time.Millisecond},
+	e := newEndpoint(n, "srv", netsim.LinkConfig{RTT: time.Millisecond},
 		&clientTelem{reg: telemetry.NewRegistry()},
-		newResilience(0, RetryPolicy{}, BreakerConfig{}, nil), nil, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+		newResilience(0, RetryPolicy{}, BreakerConfig{}, nil), nil, nil)
 	defer e.Close()
 	for i := 0; i < 5; i++ {
 		if _, _, err := e.Call(1, nil); err != nil { // OpPing

@@ -25,7 +25,7 @@ type StatusSource struct {
 }
 
 // LocalSource builds a StatusSource over an in-process server's registry.
-// epoch (nil ok) supplies the server's live membership epoch and hot
+// epoch (nil ok) supplies the server's live cluster map version and hot
 // (nil ok) its heavy-hitter sketch.
 func LocalSource(name string, reg *telemetry.Registry, epoch func() uint64, hot *trace.TopK, objs []slo.Objective) StatusSource {
 	return StatusSource{
@@ -140,21 +140,23 @@ func (a *Aggregator) Run(interval time.Duration, stop <-chan struct{}) {
 	}
 }
 
-// StatusSources returns one local source per live server — DMS, the
-// current FMS set (membership-driven: servers added or removed online
-// appear/disappear on the next poll), and every OSS — plus one source per
-// tracked client registry, so client-side dircache/breaker/RTT telemetry
-// (PR 7) joins the merge.
+// StatusSources returns one local source per live server — the DMS
+// (partition 0's current leader), the current FMS set (map-driven: servers
+// added or removed online appear/disappear on the next poll), and every
+// OSS — plus one source per tracked client registry, so client-side
+// dircache/breaker/RTT telemetry joins the merge.
 func (c *Cluster) StatusSources() []StatusSource {
 	c.mu.Lock()
-	addrs := append([]string{"dms"}, c.fmsAddrs...)
-	addrs = append(addrs, c.ossAddrs...)
-	hots := map[string]*trace.TopK{"dms": c.DMS.HotKeys()}
-	for i, fa := range c.fmsAddrs {
+	lead := c.cmap.Leader(0)
+	addrs := []string{lead}
+	hots := map[string]*trace.TopK{lead: c.DMS.HotKeys()}
+	for i, f := range c.cmap.FMS {
+		addrs = append(addrs, f.Addr)
 		if i < len(c.FMS) {
-			hots[fa] = c.FMS[i].HotKeys()
+			hots[f.Addr] = c.FMS[i].HotKeys()
 		}
 	}
+	addrs = append(addrs, c.ossAddrs...)
 	regs := make(map[string]*telemetry.Registry, len(addrs))
 	epochs := make(map[string]func() uint64, len(addrs))
 	for _, addr := range addrs {

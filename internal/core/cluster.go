@@ -217,7 +217,7 @@ type Cluster struct {
 	DMS      *dms.Server
 	DMSStore *kv.Instrumented
 	// DMSNodes, on a sharded cluster, holds each partition's live replica
-	// nodes leader-first (mirroring the partition map's groups). Tests use
+	// nodes leader-first (mirroring the cluster map's groups). Tests use
 	// it to reach a leader's crash hooks; FailoverDMS trims it.
 	DMSNodes [][]*partition.Node
 	FMS      []*fms.Server
@@ -240,30 +240,29 @@ type Cluster struct {
 	rsByAddr   map[string]*rpc.Server
 	ossAddrs   []string
 
-	// mu guards the mutable membership state below. members is the live
-	// FMS set (stable ring IDs, never reused); nextFMSID is the next fresh
-	// ID an AddFMS will assign. clientRegs tracks the registries of clients
-	// this cluster dialed (deduped), so client-side telemetry — dircache
+	// adminMu serializes the operations that change the cluster map
+	// (AddFMS, RemoveFMS, FailoverDMS), so two changes never race for one
+	// version.
+	adminMu sync.Mutex
+
+	// mu guards the mutable state below. cmap is the installed cluster
+	// map; FMS parallels cmap.FMS. nextFMSID is the next fresh ring ID an
+	// AddFMS will assign. clientRegs tracks the registries of clients this
+	// cluster dialed (deduped), so client-side telemetry — dircache
 	// counters, breaker transitions, RTT windows — joins the cluster status
 	// merge.
 	mu         sync.Mutex
-	fmsAddrs   []string
-	members    []wire.Member
+	cmap       *wire.ClusterMap
 	nextFMSID  int32
-	epoch      uint64
 	clientRegs []*telemetry.Registry
 
 	// Sharded-DMS state (DESIGN.md §16), guarded by mu after Start.
-	// dmsGroups mirrors the current partition map's replica groups
-	// (leader first); dmsStores parallels DMSNodes; dmsAllNodes keeps every
-	// node ever started so Close can release peer connections of replaced
-	// leaders too.
+	// dmsStores parallels DMSNodes; dmsAllNodes keeps every node ever
+	// started so Close can release peer connections of replaced leaders
+	// too.
 	sharded     bool
-	dmsCuts     []wire.PartCut
-	dmsGroups   [][]string
 	dmsStores   [][]*kv.Instrumented
 	dmsAllNodes []*partition.Node
-	pmVer       uint64
 }
 
 // Start builds and starts a cluster.
@@ -291,12 +290,23 @@ func Start(opts Options) (*Cluster, error) {
 			c.mu.Lock()
 			defer c.mu.Unlock()
 			return map[string]any{
-				"epoch":   c.epoch,
-				"members": append([]wire.Member{}, c.members...),
+				"epoch":   c.cmap.Ver,
+				"members": c.cmap.FMS,
 			}
 		},
 		Dir: opts.FlightDir,
 	})
+
+	// The initial cluster map (version 1): the FMS set, with ring IDs
+	// starting as the FMS indices so they match a client's static-config
+	// ring exactly, and the DMS partitions. Every server installs it, so
+	// servers stamp its version on responses and AddFMS, RemoveFMS and
+	// FailoverDMS can install successors.
+	c.cmap = &wire.ClusterMap{Ver: 1}
+	for i := 0; i < opts.FMSCount; i++ {
+		c.cmap.FMS = append(c.cmap.FMS, wire.Member{ID: int32(i), Addr: fmt.Sprintf("fms-%d", i)})
+	}
+	c.nextFMSID = int32(opts.FMSCount)
 
 	// Directory metadata service: one unsharded server, or a partitioned,
 	// replicated node set (DESIGN.md §16).
@@ -318,6 +328,7 @@ func Start(opts Options) (*Cluster, error) {
 		return nil, fmt.Errorf("core: DMS cuts given but only one partition configured")
 	}
 	if !c.sharded {
+		c.cmap.Groups = [][]string{{"dms"}}
 		c.DMSStore = newDMSStore()
 		c.DMS = dms.New(dms.Options{
 			Store:            c.DMSStore,
@@ -335,21 +346,19 @@ func Start(opts Options) (*Cluster, error) {
 			if err != nil || cd == "/" {
 				return nil, fmt.Errorf("core: invalid DMS cut %q", d)
 			}
-			for _, prev := range c.dmsCuts {
+			for _, prev := range c.cmap.Cuts {
 				if prev.Dir == cd {
 					return nil, fmt.Errorf("core: duplicate DMS cut %q", cd)
 				}
 			}
-			c.dmsCuts = append(c.dmsCuts, wire.PartCut{Dir: cd, PID: uint32(i%(opts.DMSPartitions-1)) + 1})
+			c.cmap.Cuts = append(c.cmap.Cuts, wire.PartCut{Dir: cd, PID: uint32(i%(opts.DMSPartitions-1)) + 1})
 		}
-		c.dmsGroups = make([][]string, opts.DMSPartitions)
-		for pid := range c.dmsGroups {
+		c.cmap.Groups = make([][]string, opts.DMSPartitions)
+		for pid := range c.cmap.Groups {
 			for rep := 0; rep < opts.DMSReplicas; rep++ {
-				c.dmsGroups[pid] = append(c.dmsGroups[pid], dmsAddr(pid, rep))
+				c.cmap.Groups[pid] = append(c.cmap.Groups[pid], dmsAddr(pid, rep))
 			}
 		}
-		c.pmVer = 1
-		pm := &wire.PartMap{Ver: c.pmVer, Cuts: c.dmsCuts, Groups: c.dmsGroups}
 		c.DMSNodes = make([][]*partition.Node, opts.DMSPartitions)
 		c.dmsStores = make([][]*kv.Instrumented, opts.DMSPartitions)
 		for pid := 0; pid < opts.DMSPartitions; pid++ {
@@ -369,9 +378,8 @@ func Start(opts Options) (*Cluster, error) {
 				ds.SetFlight(c.Flight.Journal(), addr)
 				node := partition.New(partition.Config{
 					PID:          uint32(pid),
-					Index:        rep,
 					Self:         addr,
-					Map:          pm,
+					Map:          c.cmap,
 					DMS:          ds,
 					Dialer:       c.net,
 					Journal:      c.Flight.Journal(),
@@ -408,9 +416,8 @@ func Start(opts Options) (*Cluster, error) {
 			BlockSize:        opts.BlockSize,
 		})
 		c.FMS = append(c.FMS, f)
-		addr := fmt.Sprintf("fms-%d", i)
+		addr := c.cmap.FMS[i].Addr
 		f.SetFlight(c.Flight.Journal(), addr)
-		c.fmsAddrs = append(c.fmsAddrs, addr)
 		if err := c.serve(addr, fstore, f.Attach); err != nil {
 			return nil, err
 		}
@@ -428,24 +435,12 @@ func Start(opts Options) (*Cluster, error) {
 		}
 	}
 
-	// Install the initial membership (epoch 1) on every server, making the
-	// cluster elasticity-ready: servers stamp the epoch on responses and
-	// AddFMS/RemoveFMS can install successors. Ring IDs start as the FMS
-	// indices, matching the client's static-config ring exactly.
-	for i := 0; i < opts.FMSCount; i++ {
-		c.members = append(c.members, wire.Member{ID: int32(i), Addr: c.fmsAddrs[i]})
-	}
-	c.nextFMSID = int32(opts.FMSCount)
-	c.epoch = 1
-	m := &wire.Membership{Epoch: c.epoch, FMS: c.members}
+	// Partition nodes installed the map in Attach; install it everywhere
+	// else.
 	for addr, rs := range c.rsByAddr {
-		self := -1
-		for _, mm := range c.members {
-			if mm.Addr == addr {
-				self = int(mm.ID)
-			}
+		if rs.ClusterMap() == nil {
+			rs.SetClusterMap(c.cmap, addr)
 		}
-		rs.SetMembership(m, self)
 	}
 	return c, nil
 }
@@ -540,17 +535,21 @@ func (c *Cluster) NewClient(cfg ClientConfig) (*client.Client, error) {
 	if lease == 0 {
 		lease = c.opts.Lease
 	}
+	// Dial the installed map's partition-0 leader: the bootstrap "dms"
+	// is gone once partition 0 fails over.
 	c.mu.Lock()
-	fmsAddrs := append([]string{}, c.fmsAddrs...)
-	fmsIDs := make([]int, len(c.members))
-	for i, m := range c.members {
-		fmsIDs[i] = int(m.ID)
-	}
+	m := c.cmap
 	c.mu.Unlock()
+	var fmsAddrs []string
+	var fmsIDs []int
+	for _, f := range m.FMS {
+		fmsAddrs = append(fmsAddrs, f.Addr)
+		fmsIDs = append(fmsIDs, int(f.ID))
+	}
 	cl, err := client.Dial(client.Config{
 		Dialer:                c.net,
 		Link:                  c.opts.Link,
-		DMSAddr:               "dms",
+		DMSAddr:               m.Leader(0),
 		DMSSharded:            c.sharded,
 		FMSAddrs:              fmsAddrs,
 		FMSIDs:                fmsIDs,
@@ -598,12 +597,14 @@ func (c *Cluster) NewClient(cfg ClientConfig) (*client.Client, error) {
 }
 
 // AddFMS grows the cluster by one file metadata server while it serves
-// traffic: it starts the server, installs the next membership epoch with
-// the migration window open, relocates the ~1/n of keys the grown ring
-// places on the newcomer, and closes the window. Clients notice the new
-// epoch on their next response and re-route; the namespace stays fully
-// readable throughout (dual-read). Returns the coordinator's report.
+// traffic: it starts the server, installs the next cluster map with the
+// migration window open, relocates the ~1/n of keys the grown ring places
+// on the newcomer, and closes the window. Clients notice the new version
+// on their next response and re-route; the namespace stays fully readable
+// throughout (dual-read). Returns the coordinator's report.
 func (c *Cluster) AddFMS() (*client.RebalanceReport, error) {
+	c.adminMu.Lock()
+	defer c.adminMu.Unlock()
 	c.mu.Lock()
 	id := c.nextFMSID
 	c.nextFMSID++
@@ -622,23 +623,9 @@ func (c *Cluster) AddFMS() (*client.RebalanceReport, error) {
 	if err := c.serve(addr, fstore, f.Attach); err != nil {
 		return nil, err
 	}
-
-	admin, err := c.NewClient(ClientConfig{})
-	if err != nil {
-		return nil, err
-	}
-	defer admin.Close()
-	rep, err := admin.AddFMS(id, addr)
-	if err != nil {
-		return rep, err
-	}
-	c.mu.Lock()
-	c.FMS = append(c.FMS, f)
-	c.fmsAddrs = append(c.fmsAddrs, addr)
-	c.members = append(c.members, wire.Member{ID: id, Addr: addr})
-	c.epoch = rep.ToEpoch
-	c.mu.Unlock()
-	return rep, nil
+	return c.changeMap(func(admin *client.Client) (*client.RebalanceReport, error) {
+		return admin.AddFMS(id, addr)
+	}, func() { c.FMS = append(c.FMS, f) })
 }
 
 // RemoveFMS shrinks the cluster by the most recently listed file metadata
@@ -646,67 +633,74 @@ func (c *Cluster) AddFMS() (*client.RebalanceReport, error) {
 // closes. The drained server keeps running — in-flight dual-reads may
 // still land on it — but owns no keys afterwards.
 func (c *Cluster) RemoveFMS() (*client.RebalanceReport, error) {
+	c.adminMu.Lock()
+	defer c.adminMu.Unlock()
 	c.mu.Lock()
-	if len(c.members) <= 1 {
-		c.mu.Unlock()
+	fmsSet := c.cmap.FMS
+	c.mu.Unlock()
+	if len(fmsSet) <= 1 {
 		return nil, fmt.Errorf("core: cannot remove the last FMS")
 	}
-	victim := c.members[len(c.members)-1]
-	c.mu.Unlock()
+	return c.changeMap(func(admin *client.Client) (*client.RebalanceReport, error) {
+		return admin.RemoveFMS(fmsSet[len(fmsSet)-1].ID)
+	}, func() { c.FMS = c.FMS[:len(c.FMS)-1] })
+}
 
+// changeMap runs one FMS membership change through an admin client. Once
+// the change succeeded it records the map the change installed and runs
+// done under mu to update the cluster's FMS list to match; a failed change
+// leaves both as they were. The caller holds adminMu.
+func (c *Cluster) changeMap(change func(admin *client.Client) (*client.RebalanceReport, error), done func()) (*client.RebalanceReport, error) {
 	admin, err := c.NewClient(ClientConfig{})
 	if err != nil {
 		return nil, err
 	}
 	defer admin.Close()
-	rep, err := admin.RemoveFMS(victim.ID)
-	if err != nil {
-		return rep, err
+	rep, err := change(admin)
+	if err == nil {
+		c.mu.Lock()
+		c.cmap = admin.ClusterMap()
+		done()
+		c.mu.Unlock()
 	}
-	c.mu.Lock()
-	c.members = c.members[:len(c.members)-1]
-	for i, a := range c.fmsAddrs {
-		if a == victim.Addr {
-			c.fmsAddrs = append(c.fmsAddrs[:i], c.fmsAddrs[i+1:]...)
-			c.FMS = append(c.FMS[:i], c.FMS[i+1:]...)
-			break
-		}
-	}
-	c.epoch = rep.ToEpoch
-	c.mu.Unlock()
-	return rep, nil
+	return rep, err
 }
 
 // FailoverDMS kills the current leader of DMS partition pid and promotes
 // its first surviving follower: the leader's rpc server is shut down (its
 // fabric address disappears, so in-flight client calls fail fast and
-// re-route), a successor partition map with a bumped version is built, and
-// the map is pushed to every live replica of every partition. The promoted
-// follower recovers its partition state (replaying un-applied log entries
-// and resolving in-flight cross-partition renames) synchronously inside the
-// push, so when FailoverDMS returns the partition is serving again. Every
-// mutation the dead leader acked survives — acked means logged on all
-// non-excluded replicas.
+// re-route), and the next cluster map — the group without its leader — is
+// pushed to every server through the same path FMS membership changes
+// use. The promoted follower recovers its partition state (replaying
+// un-applied log entries and resolving in-flight cross-partition renames)
+// synchronously inside the push, so when FailoverDMS returns the partition
+// is serving again. Every mutation the dead leader acked survives — acked
+// means logged on all non-excluded replicas.
 func (c *Cluster) FailoverDMS(pid int) error {
+	c.adminMu.Lock()
+	defer c.adminMu.Unlock()
 	c.mu.Lock()
-	if !c.sharded || pid < 0 || pid >= len(c.dmsGroups) {
-		c.mu.Unlock()
+	cur := c.cmap
+	c.mu.Unlock()
+	if !c.sharded || pid < 0 || pid >= len(cur.Groups) {
 		return fmt.Errorf("core: no such DMS partition %d", pid)
 	}
-	if len(c.dmsGroups[pid]) < 2 {
-		c.mu.Unlock()
+	if len(cur.Groups[pid]) < 2 {
 		return fmt.Errorf("core: DMS partition %d has no follower to promote", pid)
 	}
-	dead := c.dmsGroups[pid][0]
-	deadRS := c.rsByAddr[dead]
-	groups := make([][]string, len(c.dmsGroups))
-	for i, g := range c.dmsGroups {
-		groups[i] = append([]string{}, g...)
+	// Dial the admin client before the kill: it bootstraps from partition
+	// 0's leader, which may be the one about to die.
+	admin, err := c.NewClient(ClientConfig{})
+	if err != nil {
+		return err
 	}
-	groups[pid] = groups[pid][1:]
-	c.pmVer++
-	pm := &wire.PartMap{Ver: c.pmVer, Cuts: c.dmsCuts, Groups: groups}
-	c.dmsGroups = groups
+	defer admin.Close()
+	next := cur.Next()
+	next.Groups[pid] = next.Groups[pid][1:]
+
+	c.mu.Lock()
+	deadRS := c.rsByAddr[cur.Groups[pid][0]]
+	c.cmap = next
 	c.DMSNodes[pid] = c.DMSNodes[pid][1:]
 	c.dmsStores[pid] = c.dmsStores[pid][1:]
 	if pid == 0 {
@@ -717,37 +711,18 @@ func (c *Cluster) FailoverDMS(pid int) error {
 
 	// Kill first: the address must be gone before the successor map is
 	// live, or a slow client could keep talking to a deposed leader.
-	if deadRS != nil {
-		deadRS.Shutdown()
+	deadRS.Shutdown()
+	if err := admin.PushClusterMap(next); err != nil {
+		return fmt.Errorf("core: push cluster map: %w", err)
 	}
-
-	var firstErr error
-	for p := range groups {
-		for idx, addr := range groups[p] {
-			cl, err := rpc.Dial(c.net, addr)
-			if err == nil {
-				var st wire.Status
-				st, _, err = cl.Call(wire.OpSetPartMap, wire.EncodeSetPartMap(pm, uint32(p), idx))
-				cl.Close()
-				// ESTALE means the replica already holds this or a newer
-				// map — fine.
-				if err == nil && st != wire.StatusOK && st != wire.StatusStale {
-					err = st.Err()
-				}
-			}
-			if err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("core: push partition map to %s: %w", addr, err)
-			}
-		}
-	}
-	return firstErr
+	return nil
 }
 
-// Epoch returns the cluster's current membership epoch.
+// Epoch returns the version of the cluster's installed map.
 func (c *Cluster) Epoch() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.epoch
+	return c.cmap.Ver
 }
 
 // Network exposes the cluster's in-process fabric, mainly so tests and the

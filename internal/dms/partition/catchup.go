@@ -50,11 +50,10 @@ func (n *Node) catchUp(why string) error {
 	}
 	defer n.catching.Store(false)
 
-	pm := n.pm.Load()
-	if pm == nil || n.IsLeader() {
+	if n.IsLeader() {
 		return nil
 	}
-	leader := pm.Leader(n.pid)
+	leader := n.Map().Leader(n.pid)
 	if leader == "" || leader == n.self {
 		return nil
 	}
@@ -166,7 +165,7 @@ func (n *Node) serveLogFetch(body []byte) (wire.Status, []byte) {
 	if from < n.firstIndex {
 		// The range the replica needs is already truncated: it cannot be
 		// repaired from the log. The operator replaces it via a map push
-		// (serveSetPartMap reconciles the old identity away).
+		// (serveSetClusterMap reconciles the old identity away).
 		n.emit("catchup_impossible", int64(from), self)
 		return wire.StatusExpired, []byte("op log truncated past requested index")
 	}

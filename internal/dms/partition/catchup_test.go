@@ -146,8 +146,8 @@ func TestExcludedResetOnMapInstall(t *testing.T) {
 	if exc := ts.nodes["l"].Excluded(); len(exc) != 1 {
 		t.Fatalf("excluded = %v, want [f]", exc)
 	}
-	pm2 := &wire.PartMap{Ver: 2, Groups: [][]string{{"l", "g"}}}
-	if st, _ := ts.call(t, "l", wire.OpSetPartMap, wire.EncodeSetPartMap(pm2, 0, 0), 0); st != wire.StatusOK {
+	pm2 := &wire.ClusterMap{Ver: 2, Groups: [][]string{{"l", "g"}}}
+	if st, _ := ts.call(t, "l", wire.OpSetClusterMap, wire.EncodeSetClusterMap(pm2, "l"), 0); st != wire.StatusOK {
 		t.Fatalf("map install: %v", st)
 	}
 	if exc := ts.nodes["l"].Excluded(); len(exc) != 0 {
@@ -235,17 +235,13 @@ func TestMintTxIDAcrossPromotion(t *testing.T) {
 		t.Fatalf("crash-injected rename = %v, want EIO", st)
 	}
 	ts.rss["p0-l"].Shutdown()
-	pm2 := &wire.PartMap{
+	pm2 := &wire.ClusterMap{
 		Ver:    2,
 		Cuts:   []wire.PartCut{{Dir: "/b", PID: 1}},
 		Groups: [][]string{{"p0-f"}, {"p1-l", "p1-f"}},
 	}
-	for addr, pid := range map[string]uint32{"p0-f": 0, "p1-l": 1, "p1-f": 1} {
-		idx := 0
-		if addr == "p1-f" {
-			idx = 1
-		}
-		if st, _ := ts.call(t, addr, wire.OpSetPartMap, wire.EncodeSetPartMap(pm2, pid, idx), 0); st != wire.StatusOK {
+	for _, addr := range []string{"p0-f", "p1-l", "p1-f"} {
+		if st, _ := ts.call(t, addr, wire.OpSetClusterMap, wire.EncodeSetClusterMap(pm2, addr), 0); st != wire.StatusOK {
 			t.Fatalf("map push to %s: %v", addr, st)
 		}
 	}

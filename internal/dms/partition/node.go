@@ -1,8 +1,8 @@
 // Package partition turns a set of dms.Server instances into a sharded,
 // replicated directory metadata service (DESIGN.md §16).
 //
-// The namespace is split into subtree range partitions by a versioned
-// wire.PartMap. Each partition is a replica group of Nodes wrapping one
+// The namespace is split into subtree range partitions by the versioned
+// wire.ClusterMap. Each partition is a replica group of Nodes wrapping one
 // dms.Server each; replica 0 is the leader. Mutations reach the leader,
 // which appends them to a replicated op log under the partition lock, then
 // fans the entry out to every live follower through per-follower ordered
@@ -34,6 +34,7 @@
 package partition
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,14 +65,14 @@ const (
 
 // Config assembles one partition replica.
 type Config struct {
-	// PID is the partition this node belongs to; Index its replica slot in
-	// the partition's group (0 = leader). Self is this node's own fabric
-	// address (so it can exclude itself from replication fan-out).
-	PID   uint32
-	Index int
-	Self  string
-	// Map is the initial partition map.
-	Map *wire.PartMap
+	// PID is the partition this node belongs to. Self is this node's own
+	// fabric address as the map lists it: its position in the partition's
+	// group is its replica slot (0 = leader), and it excludes itself from
+	// replication fan-out.
+	PID  uint32
+	Self string
+	// Map is the initial cluster map, installed on the rpc.Server by Attach.
+	Map *wire.ClusterMap
 	// DMS is the node's local directory metadata server.
 	DMS *dms.Server
 	// Dialer reaches peer nodes (followers, other partition leaders).
@@ -135,11 +136,14 @@ type Node struct {
 	source string
 	now    func() int64
 
-	logCap     int
-	repTimeout time.Duration
+	logCap       int
+	repTimeout   time.Duration
+	catchupEvery time.Duration
 
-	pm  atomic.Pointer[wire.PartMap]
-	idx atomic.Int32 // replica index; 0 = leader
+	// rs is the replica's rpc.Server, set by Attach; it holds the installed
+	// cluster map (the process's one copy). initMap is installed there.
+	rs      *rpc.Server
+	initMap *wire.ClusterMap
 
 	// txSeq generates fallback transaction ids for cross-partition renames
 	// issued without a client dedup id (see mintTxID). It restarts at zero
@@ -231,32 +235,32 @@ type Node struct {
 // New builds a Node. Call Attach to wire it to the replica's rpc.Server.
 func New(cfg Config) *Node {
 	n := &Node{
-		dms:        cfg.DMS,
-		pid:        cfg.PID,
-		self:       cfg.Self,
-		dialer:     cfg.Dialer,
-		j:          cfg.Journal,
-		source:     cfg.Source,
-		now:        cfg.Now,
-		logCap:     cfg.LogCap,
-		repTimeout: cfg.RepTimeout,
-		closed:     make(chan struct{}),
-		preApplied: make(map[uint64]appliedRes),
-		applied:    make(map[uint64]appliedRes),
-		reqFloor:   make(map[uint64]uint64),
-		pendingReq: make(map[uint64]uint64),
-		excluded:   make(map[string]bool),
-		ackMark:    make(map[string]uint64),
-		catch:      make(map[string]catchSession),
-		reps:       make(map[string]*replicator),
-		frozen:     make(map[string]int),
-		dtx:        make(map[uint64]*wire.RenamePrepare),
-		stx:        make(map[uint64]*srcTx),
-		peers:      make(map[string]*rpc.Client),
+		dms:          cfg.DMS,
+		pid:          cfg.PID,
+		self:         cfg.Self,
+		dialer:       cfg.Dialer,
+		j:            cfg.Journal,
+		source:       cfg.Source,
+		now:          cfg.Now,
+		logCap:       cfg.LogCap,
+		repTimeout:   cfg.RepTimeout,
+		catchupEvery: cfg.CatchupEvery,
+		initMap:      cfg.Map,
+		closed:       make(chan struct{}),
+		preApplied:   make(map[uint64]appliedRes),
+		applied:      make(map[uint64]appliedRes),
+		reqFloor:     make(map[uint64]uint64),
+		pendingReq:   make(map[uint64]uint64),
+		excluded:     make(map[string]bool),
+		ackMark:      make(map[string]uint64),
+		catch:        make(map[string]catchSession),
+		reps:         make(map[string]*replicator),
+		frozen:       make(map[string]int),
+		dtx:          make(map[uint64]*wire.RenamePrepare),
+		stx:          make(map[uint64]*srcTx),
+		peers:        make(map[string]*rpc.Client),
 	}
 	n.applyC = sync.NewCond(&n.mu)
-	n.pm.Store(cfg.Map)
-	n.idx.Store(int32(cfg.Index))
 	if n.now == nil {
 		n.now = defaultNow
 	}
@@ -266,9 +270,6 @@ func New(cfg Config) *Node {
 	if n.repTimeout <= 0 {
 		n.repTimeout = DefaultRepTimeout
 	}
-	if cfg.CatchupEvery > 0 {
-		go n.catchupLoop(cfg.CatchupEvery)
-	}
 	return n
 }
 
@@ -277,11 +278,11 @@ func defaultNow() int64 { return time.Now().UnixNano() }
 // DMS returns the node's local directory metadata server.
 func (n *Node) DMS() *dms.Server { return n.dms }
 
-// Map returns the node's installed partition map.
-func (n *Node) Map() *wire.PartMap { return n.pm.Load() }
+// Map returns the installed cluster map.
+func (n *Node) Map() *wire.ClusterMap { return n.rs.ClusterMap() }
 
 // IsLeader reports whether this node currently leads its partition.
-func (n *Node) IsLeader() bool { return n.idx.Load() == 0 }
+func (n *Node) IsLeader() bool { return n.Map().Leader(n.pid) == n.self }
 
 // LogLen returns the replicated op log's length — total entries ever
 // appended, including the truncated prefix (tests assert replica
@@ -329,17 +330,13 @@ func (n *Node) emit(op string, value int64, detail string) {
 
 // Attach registers the partition-aware handler set on rs: the full DMS op
 // set wrapped with the range guard and replication, the replication ops
-// (OpLogAppend, OpLogFetch, OpSeedUpdate), the 2PC destination ops, and the
-// partition-map admin ops. It replaces dms.Server.Attach for sharded
-// deployments.
+// (OpLogAppend, OpLogFetch, OpSeedUpdate), the 2PC destination ops, and a
+// cluster-map install that reconciles replication state. It installs
+// Config.Map on rs and replaces dms.Server.Attach for sharded deployments.
 func (n *Node) Attach(rs *rpc.Server) {
+	n.rs = rs
+	rs.SetClusterMap(n.initMap, n.self)
 	rs.SetLeaseFunc(n.dms.LeaseSeq)
-	rs.SetPMapFunc(func() uint64 {
-		if pm := n.pm.Load(); pm != nil {
-			return pm.Ver
-		}
-		return 0
-	})
 	for _, op := range dms.Ops {
 		op := op
 		if dms.MutationOp(op) {
@@ -358,14 +355,10 @@ func (n *Node) Attach(rs *rpc.Server) {
 	rs.Handle(wire.OpRenamePrepare, n.serveRenamePrepare)
 	rs.Handle(wire.OpRenameCommit, n.serveRenameDecision(wire.OpRenameCommit))
 	rs.Handle(wire.OpRenameAbort, n.serveRenameDecision(wire.OpRenameAbort))
-	rs.Handle(wire.OpGetPartMap, func([]byte) (wire.Status, []byte) {
-		pm := n.pm.Load()
-		if pm == nil {
-			return wire.StatusNotFound, nil
-		}
-		return wire.StatusOK, wire.EncodePartMap(pm)
-	})
-	rs.Handle(wire.OpSetPartMap, n.serveSetPartMap)
+	rs.Handle(wire.OpSetClusterMap, n.serveSetClusterMap)
+	if n.catchupEvery > 0 {
+		go n.catchupLoop(n.catchupEvery)
+	}
 }
 
 // ---- reads ----
@@ -376,7 +369,7 @@ func (n *Node) serveRead(op wire.Op, body []byte) (wire.Status, []byte) {
 		return wire.StatusInval, nil
 	}
 	if hasPath {
-		pm := n.pm.Load()
+		pm := n.Map()
 		owner := pm.Locate(p1)
 		if op == wire.OpReaddirSubdirs {
 			owner = pm.LocateList(p1)
@@ -395,7 +388,7 @@ func (n *Node) serveMutation(op wire.Op, req uint64, body []byte) (wire.Status, 
 	if err != nil {
 		return wire.StatusInval, nil
 	}
-	pm := n.pm.Load()
+	pm := n.Map()
 	if op == wire.OpRenameDir {
 		if pm.CutWithin(p1) || pm.CutWithin(p2) {
 			return wire.StatusInval, []byte("rename source or target subtree straddles a partition cut")
@@ -424,7 +417,7 @@ func (n *Node) serveMutation(op wire.Op, req uint64, body []byte) (wire.Status, 
 	return st, respBody
 }
 
-func isCutDir(pm *wire.PartMap, p string) bool {
+func isCutDir(pm *wire.ClusterMap, p string) bool {
 	for _, c := range pm.Cuts {
 		if c.Dir == p {
 			return true
@@ -488,7 +481,7 @@ type fanout struct {
 // enqueues it on every live follower's replicator (ordered per follower;
 // the actual sends run outside n.mu). It returns nil — appending nothing —
 // when this node is not, or no longer, the partition leader: the check runs
-// under n.mu, the same lock serveSetPartMap installs maps under, so a
+// under n.mu, the same lock serveSetClusterMap installs maps under, so a
 // deposed leader cannot slip an entry in after its successor took over.
 //
 // Every non-nil return must be finished with exactly one finishAppend (or
@@ -504,7 +497,7 @@ type fanout struct {
 // apply touches pure bookkeeping (no store state) may be eager; freezing
 // early is conservative, the symmetric unfreeze stays strictly in order.
 func (n *Node) appendLocked(le *wire.LogEntry, eager bool) *fanout {
-	if n.idx.Load() != 0 {
+	if !n.IsLeader() {
 		return nil
 	}
 	le.Index = n.nextIndex
@@ -594,12 +587,8 @@ func (n *Node) applyInOrderLocked(le *wire.LogEntry) (wire.Status, []byte) {
 // followersLocked lists the live replication targets: the group minus this
 // node and minus excluded replicas.
 func (n *Node) followersLocked() []string {
-	pm := n.pm.Load()
-	if pm == nil || int(n.pid) >= len(pm.Groups) {
-		return nil
-	}
 	var out []string
-	for _, addr := range pm.Groups[n.pid] {
+	for _, addr := range n.Map().Group(n.pid) {
 		if addr != n.self && !n.excluded[addr] {
 			out = append(out, addr)
 		}
@@ -610,16 +599,7 @@ func (n *Node) followersLocked() []string {
 // inGroupLocked reports whether addr is a member of this partition's group
 // under the installed map.
 func (n *Node) inGroupLocked(addr string) bool {
-	pm := n.pm.Load()
-	if pm == nil || int(n.pid) >= len(pm.Groups) {
-		return false
-	}
-	for _, a := range pm.Groups[n.pid] {
-		if a == addr {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(n.Map().Group(n.pid), addr)
 }
 
 // excludeFollower drops addr from the live fan-out set: its replicator is
@@ -791,7 +771,7 @@ func (n *Node) reqExpiredLocked(req uint64) bool {
 // Followers mirror the leader's floor from the value piggybacked on every
 // append, so the whole group truncates identically.
 func (n *Node) maybePruneLocked() {
-	if n.idx.Load() != 0 || int(n.nextIndex-n.firstIndex) <= n.logCap {
+	if !n.IsLeader() || int(n.nextIndex-n.firstIndex) <= n.logCap {
 		return
 	}
 	target := n.nextIndex - uint64(n.logCap)
@@ -879,7 +859,7 @@ func (n *Node) frozenConflictLocked(p string) bool {
 // mutations of one path cannot reorder their absolute-state updates.
 // A push failure only degrades that partition's seed freshness (flight
 // event); the local mutation is already acked and must stand.
-func (n *Node) pushSeeds(p string, pm *wire.PartMap) {
+func (n *Node) pushSeeds(p string, pm *wire.ClusterMap) {
 	targets := pm.SeedTargets(p, n.pid)
 	if len(targets) == 0 {
 		return
@@ -969,7 +949,7 @@ func (n *Node) mintTxID(ver uint64) uint64 {
 	return 1<<63 | (ver&(1<<22-1))<<41 | (n.txSeq.Add(1) & (1<<41 - 1))
 }
 
-func (n *Node) coordRename(req uint64, oldC, newC string, body []byte, dstPID uint32, pm *wire.PartMap) (wire.Status, []byte) {
+func (n *Node) coordRename(req uint64, oldC, newC string, body []byte, dstPID uint32, pm *wire.ClusterMap) (wire.Status, []byte) {
 	dest := pm.Leader(dstPID)
 	if dest == "" {
 		return wire.StatusUnavailable, nil
@@ -1145,55 +1125,57 @@ func (n *Node) serveRenameDecision(op wire.Op) rpc.HandlerFunc {
 	}
 }
 
-// ---- partition map administration / failover ----
+// ---- cluster map installs / failover ----
 
-func (n *Node) serveSetPartMap(body []byte) (wire.Status, []byte) {
-	pm, pid, idx, err := wire.DecodeSetPartMap(body)
+// serveSetClusterMap installs a newer cluster map. Replication state is
+// reconciled only when this partition's group changed — a failover, a
+// replaced replica: a change elsewhere in the map (the FMS set, another
+// partition) leaves this replica's role and bookkeeping alone.
+func (n *Node) serveSetClusterMap(body []byte) (wire.Status, []byte) {
+	m, _, err := wire.DecodeSetClusterMap(body)
 	if err != nil {
 		return wire.StatusInval, []byte(err.Error())
 	}
-	if pid != n.pid {
-		return wire.StatusInval, []byte("partition id mismatch")
+	group := m.Group(n.pid)
+	slot := slices.Index(group, n.self)
+	if slot < 0 {
+		return wire.StatusInval, []byte("map does not list this replica in its partition")
 	}
 	n.mu.Lock()
-	cur := n.pm.Load()
-	if cur != nil && pm.Ver <= cur.Ver {
+	old := n.Map().Group(n.pid)
+	wasLeader := n.IsLeader()
+	if !n.rs.SetClusterMap(m, n.self) {
 		n.mu.Unlock()
 		return wire.StatusStale, nil
 	}
-	wasLeader := n.idx.Load() == 0
-	n.pm.Store(pm)
-	n.idx.Store(int32(idx))
+	if slices.Equal(old, group) {
+		n.mu.Unlock()
+		return wire.StatusOK, nil
+	}
 	// Reconcile replication bookkeeping with the new group: the exclusion,
 	// ack watermark, and catch-up session of an address the group no longer
 	// lists die with the map install — a replaced replica must not stay
 	// excluded, hold truncation back, or count toward the group watermark
 	// under a map that no longer knows it.
-	group := make(map[string]bool)
-	if int(n.pid) < len(pm.Groups) {
-		for _, a := range pm.Groups[n.pid] {
-			group[a] = true
-		}
-	}
 	for a := range n.excluded {
-		if !group[a] {
+		if !slices.Contains(group, a) {
 			delete(n.excluded, a)
-			n.emit("exclusion_dropped", int64(pm.Ver), a)
+			n.emit("exclusion_dropped", int64(m.Ver), a)
 		}
 	}
 	for a := range n.ackMark {
-		if !group[a] {
+		if !slices.Contains(group, a) {
 			delete(n.ackMark, a)
 		}
 	}
 	for a := range n.catch {
-		if !group[a] {
+		if !slices.Contains(group, a) {
 			delete(n.catch, a)
 		}
 	}
 	var stopped []*replicator
 	for a, r := range n.reps {
-		if idx != 0 || !group[a] {
+		if slot != 0 || !slices.Contains(group, a) {
 			delete(n.reps, a)
 			stopped = append(stopped, r)
 		}
@@ -1202,12 +1184,12 @@ func (n *Node) serveSetPartMap(body []byte) (wire.Status, []byte) {
 	for _, r := range stopped {
 		r.stop()
 	}
-	n.emit("map_installed", int64(pm.Ver), n.self)
-	if idx == 0 && !wasLeader {
-		n.emit("promoted", int64(pm.Ver), n.self)
+	n.emit("map_installed", int64(m.Ver), n.self)
+	if slot == 0 && !wasLeader {
+		n.emit("promoted", int64(m.Ver), n.self)
 		n.Recover()
 	}
-	if idx != 0 {
+	if slot != 0 {
 		// A (re-)added or demoted replica pulls itself to the leader's tip
 		// and rejoins the live fan-out set; an already-current one gets a
 		// cheap at-tip ack. Asynchronous — the map push must not block on
@@ -1235,7 +1217,7 @@ func (n *Node) Recover() {
 	for txid, tx := range n.stx {
 		acts = append(acts, action{txid: txid, commit: tx.committed, destPID: tx.sp.DestPID})
 	}
-	pm := n.pm.Load()
+	pm := n.Map()
 	n.mu.Unlock()
 
 	for _, a := range acts {

@@ -15,7 +15,7 @@ import (
 // fabric, exactly as core.Start wires a sharded cluster (minus telemetry).
 type testShard struct {
 	net    *netsim.Network
-	pm     *wire.PartMap
+	pm     *wire.ClusterMap
 	nodes  map[string]*Node
 	rss    map[string]*rpc.Server
 	stores map[string]*kv.Instrumented
@@ -23,7 +23,7 @@ type testShard struct {
 
 // startShard builds the shard; mods tweak each replica's Config before New
 // (replication timeout, log cap, ...).
-func startShard(t *testing.T, pm *wire.PartMap, mods ...func(*Config)) *testShard {
+func startShard(t *testing.T, pm *wire.ClusterMap, mods ...func(*Config)) *testShard {
 	t.Helper()
 	ts := &testShard{
 		net:    netsim.NewNetwork(netsim.Loopback),
@@ -34,7 +34,7 @@ func startShard(t *testing.T, pm *wire.PartMap, mods ...func(*Config)) *testShar
 	}
 	t.Cleanup(func() { ts.net.Close() })
 	for pid, g := range pm.Groups {
-		for idx, addr := range g {
+		for _, addr := range g {
 			store := kv.Instrument(kv.NewBTreeStore(), kv.RAM)
 			ds := dms.New(dms.Options{
 				Store: store,
@@ -43,7 +43,7 @@ func startShard(t *testing.T, pm *wire.PartMap, mods ...func(*Config)) *testShar
 				ServerID: 0x80000000 | uint32(pid),
 			})
 			cfg := Config{
-				PID: uint32(pid), Index: idx, Self: addr,
+				PID: uint32(pid), Self: addr,
 				Map: pm, DMS: ds, Dialer: ts.net,
 			}
 			for _, mod := range mods {
@@ -94,12 +94,12 @@ func renameBody(oldPath, newPath string) []byte {
 	return wire.NewEnc().Str(oldPath).Str(newPath).U32(0).U32(0).Bytes()
 }
 
-func onePartitionMap(addrs ...string) *wire.PartMap {
-	return &wire.PartMap{Ver: 1, Groups: [][]string{addrs}}
+func onePartitionMap(addrs ...string) *wire.ClusterMap {
+	return &wire.ClusterMap{Ver: 1, Groups: [][]string{addrs}}
 }
 
-func twoPartitionMap() *wire.PartMap {
-	return &wire.PartMap{
+func twoPartitionMap() *wire.ClusterMap {
+	return &wire.ClusterMap{
 		Ver:    1,
 		Cuts:   []wire.PartCut{{Dir: "/b", PID: 1}},
 		Groups: [][]string{{"p0-l", "p0-f"}, {"p1-l", "p1-f"}},
@@ -198,8 +198,8 @@ func TestPromotionReplaysDedup(t *testing.T) {
 		t.Fatalf("mkdir: %v", st)
 	}
 	ts.rss["l"].Shutdown()
-	pm2 := &wire.PartMap{Ver: 2, Groups: [][]string{{"f"}}}
-	if st, _ := ts.call(t, "f", wire.OpSetPartMap, wire.EncodeSetPartMap(pm2, 0, 0), 0); st != wire.StatusOK {
+	pm2 := &wire.ClusterMap{Ver: 2, Groups: [][]string{{"f"}}}
+	if st, _ := ts.call(t, "f", wire.OpSetClusterMap, wire.EncodeSetClusterMap(pm2, "f"), 0); st != wire.StatusOK {
 		t.Fatalf("promote follower: %v", st)
 	}
 	if !ts.nodes["f"].IsLeader() {
@@ -220,26 +220,31 @@ func TestPromotionReplaysDedup(t *testing.T) {
 	}
 }
 
-// TestStaleMapPushRejected: a map no newer than the installed one is ESTALE.
+// TestStaleMapPushRejected: a different map of the installed version is
+// ESTALE; a repeat of the installed map (a retried push) acks OK.
 func TestStaleMapPushRejected(t *testing.T) {
 	ts := startShard(t, onePartitionMap("l", "f"))
-	pm1 := &wire.PartMap{Ver: 1, Groups: [][]string{{"l", "f"}}}
-	if st, _ := ts.call(t, "f", wire.OpSetPartMap, wire.EncodeSetPartMap(pm1, 0, 1), 0); st != wire.StatusStale {
-		t.Fatalf("same-version map push = %v, want ESTALE", st)
+	pm1 := &wire.ClusterMap{Ver: 1, FMS: []wire.Member{{ID: 0, Addr: "fms-0"}}, Groups: [][]string{{"l", "f"}}}
+	if st, _ := ts.call(t, "f", wire.OpSetClusterMap, wire.EncodeSetClusterMap(pm1, "f"), 0); st != wire.StatusStale {
+		t.Fatalf("different same-version map push = %v, want ESTALE", st)
+	}
+	same := onePartitionMap("l", "f")
+	if st, _ := ts.call(t, "f", wire.OpSetClusterMap, wire.EncodeSetClusterMap(same, "f"), 0); st != wire.StatusOK {
+		t.Fatalf("repeat of the installed map = %v, want OK", st)
 	}
 }
 
-// TestGetPartMap: every node serves the current map.
+// TestGetPartMap: every node serves the current cluster map.
 func TestGetPartMap(t *testing.T) {
 	ts := startShard(t, twoPartitionMap())
 	for _, addr := range []string{"p0-l", "p0-f", "p1-l", "p1-f"} {
-		st, body := ts.call(t, addr, wire.OpGetPartMap, nil, 0)
+		st, body := ts.call(t, addr, wire.OpGetClusterMap, nil, 0)
 		if st != wire.StatusOK {
-			t.Fatalf("GetPartMap at %s: %v", addr, st)
+			t.Fatalf("GetClusterMap at %s: %v", addr, st)
 		}
-		pm, err := wire.DecodePartMap(body)
+		pm, err := wire.DecodeClusterMap(body)
 		if err != nil || pm.Ver != 1 || len(pm.Groups) != 2 {
-			t.Fatalf("GetPartMap at %s: pm=%+v err=%v", addr, pm, err)
+			t.Fatalf("GetClusterMap at %s: pm=%+v err=%v", addr, pm, err)
 		}
 	}
 }

@@ -117,6 +117,11 @@ func (n *Network) Dial(addr string) (Conn, error) {
 	client.fault, server.fault = n.fault(addr), n.fault(addr)
 	select {
 	case l.backlog <- server:
+		if l.isClosed() {
+			// The listener closed while this connection queued: nothing
+			// will accept it.
+			l.resetBacklog()
+		}
 		n.mu.Lock()
 		n.conns = append(n.conns, client, server)
 		// Long-lived fabrics accumulate many short-lived connections
@@ -197,13 +202,34 @@ func (l *simListener) Close() error {
 	return nil
 }
 
-// shutdown marks the listener closed and releases blocked Accepts.
+// shutdown marks the listener closed, releases blocked Accepts, and resets
+// connections still queued for accept, as closing a TCP listening socket
+// does — their dialers see the connection fail instead of waiting forever.
 func (l *simListener) shutdown() {
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	if !l.closed {
 		l.closed = true
 		close(l.done())
+	}
+	l.mu.Unlock()
+	l.resetBacklog()
+}
+
+func (l *simListener) isClosed() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.closed
+}
+
+// resetBacklog closes every connection queued for accept.
+func (l *simListener) resetBacklog() {
+	for {
+		select {
+		case c := <-l.backlog:
+			c.Close()
+		default:
+			return
+		}
 	}
 }
 

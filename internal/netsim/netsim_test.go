@@ -56,6 +56,26 @@ func TestDialUnknownAddr(t *testing.T) {
 	}
 }
 
+// TestListenerCloseResetsQueuedConns: a connection dialed but never
+// accepted fails once its listener closes, as a TCP listening socket
+// resets its accept queue — the dialer must not wait forever.
+func TestListenerCloseResetsQueuedConns(t *testing.T) {
+	n := NewNetwork(Loopback)
+	defer n.Close()
+	l, err := n.Listen("srv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := n.Dial("srv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	if _, err := c.Recv(); err == nil {
+		t.Error("queued connection survived its listener's close")
+	}
+}
+
 func TestDoubleListenRejected(t *testing.T) {
 	n := NewNetwork(Loopback)
 	defer n.Close()

@@ -4,124 +4,113 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"locofs/internal/chash"
 	"locofs/internal/netsim"
 	"locofs/internal/wire"
 )
 
-func testMembership(epoch uint64) *wire.Membership {
-	return &wire.Membership{
-		Epoch: epoch,
-		FMS:   []wire.Member{{ID: 0, Addr: "fms-0"}, {ID: 1, Addr: "fms-1"}},
+func testClusterMap(ver uint64) *wire.ClusterMap {
+	return &wire.ClusterMap{
+		Ver: ver,
+		FMS: []wire.Member{{ID: 0, Addr: "fms-0"}, {ID: 1, Addr: "fms-1"}},
 	}
 }
 
-// TestSetMembershipEpochGuard: an install with an older epoch is refused,
-// same-or-newer accepted, and Epoch tracks the installed membership.
+// TestSetMembershipEpochGuard: an install with an older version, or with
+// the installed version but different contents, is refused; a repeat of
+// the installed map and a newer version are accepted, and Epoch and
+// ClusterMap track the installed map.
 func TestSetMembershipEpochGuard(t *testing.T) {
 	s := NewServer()
 	if s.Epoch() != 0 {
-		t.Fatalf("fresh server epoch = %d", s.Epoch())
+		t.Fatalf("fresh server version = %d", s.Epoch())
 	}
-	if m, self := s.Membership(); m != nil || self != -1 {
-		t.Fatalf("fresh server membership = %v self=%d", m, self)
+	if m := s.ClusterMap(); m != nil {
+		t.Fatalf("fresh server map = %+v", m)
 	}
-	if !s.SetMembership(testMembership(3), 0) {
-		t.Fatal("install epoch 3 refused")
+	if !s.SetClusterMap(testClusterMap(3), "fms-0") {
+		t.Fatal("install version 3 refused")
 	}
-	if s.SetMembership(testMembership(2), 0) {
-		t.Error("older epoch accepted")
+	if s.SetClusterMap(testClusterMap(2), "fms-0") {
+		t.Error("older version accepted")
 	}
-	if !s.SetMembership(testMembership(3), 0) {
-		t.Error("equal epoch refused (re-push must be idempotent)")
+	if !s.SetClusterMap(testClusterMap(3), "fms-0") {
+		t.Error("equal version refused (re-push must be idempotent)")
 	}
-	if !s.SetMembership(testMembership(4), 1) {
-		t.Error("newer epoch refused")
+	other := testClusterMap(3)
+	other.FMS = other.FMS[:1]
+	if s.SetClusterMap(other, "fms-0") {
+		t.Error("different map of the installed version accepted (racing changes must be told apart)")
+	}
+	if m := s.ClusterMap(); len(m.FMS) != 2 {
+		t.Errorf("refused map replaced the installed one: %+v", m)
+	}
+	if !s.SetClusterMap(testClusterMap(4), "fms-1") {
+		t.Error("newer version refused")
 	}
 	if s.Epoch() != 4 {
-		t.Errorf("epoch = %d, want 4", s.Epoch())
+		t.Errorf("version = %d, want 4", s.Epoch())
 	}
-	if m, self := s.Membership(); m.Epoch != 4 || self != 1 {
-		t.Errorf("membership = %+v self=%d", m, self)
+	if m := s.ClusterMap(); m == nil || m.Ver != 4 {
+		t.Errorf("map = %+v, want version 4", m)
 	}
-}
-
-// TestOwnsKey: with a membership installed the server answers ownership
-// exactly as the equivalent client-side ring would; without one (or as a
-// non-FMS) ownership is unknowable.
-func TestOwnsKey(t *testing.T) {
-	s := NewServer()
-	if _, known := s.OwnsKey([]byte("k")); known {
-		t.Error("static topology reported known ownership")
-	}
-	s.SetMembership(testMembership(1), 1)
-	ring := chash.NewRing(0, 0, 1)
-	agree := 0
-	for _, k := range []string{"a", "b", "c", "d", "e", "f", "g", "h"} {
-		owns, known := s.OwnsKey([]byte(k))
-		if !known {
-			t.Fatalf("ownership unknown for %q", k)
-		}
-		if owns == (ring.Locate([]byte(k)) == 1) {
-			agree++
-		}
-	}
-	if agree != 8 {
-		t.Errorf("OwnsKey disagrees with ring on %d/8 keys", 8-agree)
-	}
-	// A non-FMS participant (self=-1) tracks the epoch but not ownership.
-	s2 := NewServer()
-	s2.SetMembership(testMembership(2), -1)
-	if _, known := s2.OwnsKey([]byte("k")); known {
-		t.Error("self=-1 reported known ownership")
-	}
-	if s2.Epoch() != 2 {
-		t.Errorf("non-FMS epoch = %d, want 2", s2.Epoch())
+	if _, known := s.OwnsKey([]byte("k")); !known {
+		t.Error("FMS listed in the installed map reported unknown ownership")
 	}
 }
 
-// TestMembershipOverWire: OpSetMembership/OpGetMembership round trip over
-// the transport, responses carry the installed epoch, and CallSpec.OnEpoch
-// observes it.
+// TestMembershipOverWire: OpSetClusterMap/OpGetClusterMap round trip over
+// the transport: a newer map is installed, a retried push of it acks OK,
+// an older version or a different map of the same version is refused with
+// ESTALE, the held map is served, and responses carry its version in the
+// header, observed through CallSpec.OnEpoch.
 func TestMembershipOverWire(t *testing.T) {
 	n := netsim.NewNetwork(netsim.Loopback)
 	t.Cleanup(func() { n.Close() })
 	s := NewServer()
 	l, _ := n.Listen("srv")
 	go s.Serve(l)
+	t.Cleanup(s.Shutdown)
 	c, err := Dial(n, "srv")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-
-	// No membership yet: get reports ENOENT, responses carry epoch 0.
-	st, _, _, err := c.Do(CallSpec{Op: wire.OpGetMembership})
-	if err != nil || st != wire.StatusNotFound {
-		t.Fatalf("get before set = %v %v", st, err)
+	setMap := func(m *wire.ClusterMap) wire.Status {
+		st, _, _, err := c.Do(CallSpec{Op: wire.OpSetClusterMap,
+			Body: wire.EncodeSetClusterMap(m, "fms-1")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
 	}
+	set := func(ver uint64) wire.Status { return setMap(testClusterMap(ver)) }
 
-	m := testMembership(5)
-	st, _, _, err = c.Do(CallSpec{Op: wire.OpSetMembership, Body: wire.EncodeSetMembership(m, 0)})
-	if err != nil || st != wire.StatusOK {
-		t.Fatalf("set = %v %v", st, err)
+	if st, _, _, _ := c.Do(CallSpec{Op: wire.OpGetClusterMap}); st != wire.StatusNotFound {
+		t.Fatalf("get before any set = %v, want ENOENT", st)
 	}
-	// A stale push is refused with ESTALE.
-	st, _, _, _ = c.Do(CallSpec{Op: wire.OpSetMembership, Body: wire.EncodeSetMembership(testMembership(4), 0)})
-	if st != wire.StatusStale {
-		t.Errorf("stale set = %v, want ESTALE", st)
+	if st := set(5); st != wire.StatusOK {
+		t.Fatalf("set version 5 = %v", st)
 	}
-
+	if st := set(5); st != wire.StatusOK {
+		t.Errorf("retried set of version 5 = %v, want OK", st)
+	}
+	if st := set(4); st != wire.StatusStale {
+		t.Errorf("set version 4 over 5 = %v, want ESTALE", st)
+	}
+	other := testClusterMap(5)
+	other.Prev = other.FMS[:1]
+	if st := setMap(other); st != wire.StatusStale {
+		t.Errorf("set of a different version-5 map = %v, want ESTALE", st)
+	}
 	var seen atomic.Uint64
-	st, body, _, err := c.Do(CallSpec{Op: wire.OpGetMembership, OnEpoch: func(e uint64) { seen.Store(e) }})
+	st, body, _, err := c.Do(CallSpec{Op: wire.OpGetClusterMap, OnEpoch: func(v uint64) { seen.Store(v) }})
 	if err != nil || st != wire.StatusOK {
 		t.Fatalf("get = %v %v", st, err)
 	}
-	got, err := wire.DecodeMembership(body)
-	if err != nil || got.Epoch != 5 || len(got.FMS) != 2 {
-		t.Errorf("membership = %+v err=%v", got, err)
+	if got, err := wire.DecodeClusterMap(body); err != nil || got.Ver != 5 || len(got.FMS) != 2 {
+		t.Errorf("served map = %+v err=%v, want version 5 with 2 FMS", got, err)
 	}
-	if seen.Load() != 5 {
-		t.Errorf("OnEpoch observed %d, want 5", seen.Load())
+	if seen.Load() != 5 || s.Epoch() != 5 {
+		t.Errorf("header version %d, server version %d, want 5", seen.Load(), s.Epoch())
 	}
 }

@@ -4,6 +4,7 @@
 package rpc
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -106,22 +107,16 @@ type Server struct {
 	slowNS    atomic.Int64 // slow-request log threshold (0 = disabled)
 	dedup     dedupWindow  // at-most-once replay cache for retried mutations
 
-	// member holds the installed FMS membership (nil on a static
-	// topology); epoch mirrors member's epoch for lock-free stamping on
-	// every response header. memberMu serializes installs (a cold path).
-	memberMu sync.Mutex
-	member   atomic.Pointer[memberState]
-	epoch    atomic.Uint64
+	// cmap holds the installed cluster map (nil on a static topology),
+	// whose version is stamped on every response header. mapMu serializes
+	// installs (a cold path).
+	mapMu sync.Mutex
+	cmap  atomic.Pointer[mapState]
 
 	// leaseFn, when set (DMS only), supplies the current lease-recall
 	// sequence stamped on every response header's Lease field, the same
-	// piggyback channel epoch uses for membership staleness.
+	// piggyback channel the map version uses for routing staleness.
 	leaseFn atomic.Pointer[func() uint64]
-
-	// pmapFn, when set (sharded DMS only), supplies the current partition-
-	// map version stamped on every response header's PMap field — the third
-	// piggyback channel, for partition-routing staleness.
-	pmapFn atomic.Pointer[func() uint64]
 
 	// Served counts completed requests, for load accounting in experiments.
 	Served atomic.Uint64
@@ -154,19 +149,19 @@ func NewServerWithWorkers(workers int) *Server {
 	s.Handle(wire.OpPing, func(body []byte) (wire.Status, []byte) {
 		return wire.StatusOK, body
 	})
-	s.Handle(wire.OpGetMembership, func(body []byte) (wire.Status, []byte) {
-		ms := s.member.Load()
-		if ms == nil {
+	s.Handle(wire.OpGetClusterMap, func(body []byte) (wire.Status, []byte) {
+		m := s.ClusterMap()
+		if m == nil {
 			return wire.StatusNotFound, nil
 		}
-		return wire.StatusOK, wire.EncodeMembership(ms.m)
+		return wire.StatusOK, wire.EncodeClusterMap(m)
 	})
-	s.Handle(wire.OpSetMembership, func(body []byte) (wire.Status, []byte) {
-		m, self, err := wire.DecodeSetMembership(body)
+	s.Handle(wire.OpSetClusterMap, func(body []byte) (wire.Status, []byte) {
+		m, self, err := wire.DecodeSetClusterMap(body)
 		if err != nil {
 			return wire.StatusInval, []byte(err.Error())
 		}
-		if !s.SetMembership(m, self) {
+		if !s.SetClusterMap(m, self) {
 			return wire.StatusStale, nil
 		}
 		return wire.StatusOK, nil
@@ -174,51 +169,66 @@ func NewServerWithWorkers(workers int) *Server {
 	return s
 }
 
-// memberState couples an installed membership with this server's own ring
-// ID inside it (-1 for servers off the FMS ring) and the ring built from
-// the membership's current FMS set, cached for OwnsKey.
-type memberState struct {
-	m    *wire.Membership
-	self int
+// mapState couples an installed cluster map with this server's ring ID in
+// it and, when the server is an FMS of the current or previous set, the
+// ring built from the current set, cached for OwnsKey.
+type mapState struct {
+	m    *wire.ClusterMap
+	id   int
 	ring *chash.Ring
 }
 
-// SetMembership installs m if its epoch is not older than the currently
-// installed one, reporting whether it was accepted. self is this server's
-// ring ID within m (-1 when the server is not an FMS — it then tracks the
-// epoch but OwnsKey stays unknowable). Subsequent responses carry m.Epoch
-// in their headers, which is how clients discover a membership change.
-func (s *Server) SetMembership(m *wire.Membership, self int) bool {
-	s.memberMu.Lock()
-	defer s.memberMu.Unlock()
-	if cur := s.member.Load(); cur != nil && m.Epoch < cur.m.Epoch {
-		return false
+// SetClusterMap installs m if its version is newer than the installed
+// one, reporting whether it was accepted. A byte-identical copy of the
+// installed map is accepted without effect, so a coordinator's retried
+// push whose first response was lost succeeds. A different map of the
+// installed version is refused: that makes the first server a coordinator
+// pushes to the point where two racing changes are told apart, one of
+// them draws ESTALE there and stops. self is this server's address as m
+// lists it: an FMS listed in m.FMS or m.Prev answers ownership checks
+// against the current set's ring, any other server only tracks the
+// version. Subsequent responses carry m.Ver in their headers, which is how
+// clients discover a change.
+func (s *Server) SetClusterMap(m *wire.ClusterMap, self string) bool {
+	s.mapMu.Lock()
+	defer s.mapMu.Unlock()
+	if cur := s.cmap.Load(); cur != nil && m.Ver <= cur.m.Ver {
+		return m.Ver == cur.m.Ver && bytes.Equal(wire.EncodeClusterMap(m), wire.EncodeClusterMap(cur.m))
 	}
-	ms := &memberState{m: m, self: self}
-	if self >= 0 && len(m.FMS) > 0 {
+	ms := &mapState{m: m, id: -1}
+	for _, set := range [][]wire.Member{m.Prev, m.FMS} {
+		for _, f := range set {
+			if f.Addr == self {
+				ms.id = int(f.ID)
+			}
+		}
+	}
+	if ms.id >= 0 && len(m.FMS) > 0 {
 		ms.ring = chash.NewRing(0, m.IDs()...)
-		ms.ring.SetEpoch(m.Epoch)
+		ms.ring.SetEpoch(m.Ver)
 	}
-	s.member.Store(ms)
-	s.epoch.Store(m.Epoch)
+	s.cmap.Store(ms)
 	if f := s.flightRef.Load(); f != nil {
-		f.j.Emit(flight.KindEpoch, f.source, "", 0, int64(m.Epoch), "membership installed")
+		f.j.Emit(flight.KindEpoch, f.source, "", 0, int64(m.Ver), "cluster map installed")
 	}
 	return true
 }
 
-// Membership returns the installed membership and this server's ring ID in
-// it, or (nil, -1) on a static topology.
-func (s *Server) Membership() (*wire.Membership, int) {
-	ms := s.member.Load()
-	if ms == nil {
-		return nil, -1
+// ClusterMap returns the installed cluster map, nil on a static topology.
+func (s *Server) ClusterMap() *wire.ClusterMap {
+	if ms := s.cmap.Load(); ms != nil {
+		return ms.m
 	}
-	return ms.m, ms.self
+	return nil
 }
 
-// Epoch returns the installed membership epoch (0 = static topology).
-func (s *Server) Epoch() uint64 { return s.epoch.Load() }
+// Epoch returns the installed cluster map's version (0 = static topology).
+func (s *Server) Epoch() uint64 {
+	if ms := s.cmap.Load(); ms != nil {
+		return ms.m.Ver
+	}
+	return 0
+}
 
 // SetLeaseFunc installs the source of the lease-recall sequence stamped on
 // every response (see wire.Msg.Lease). fn must be safe for concurrent use
@@ -235,31 +245,16 @@ func (s *Server) leaseSeq() uint64 {
 	return 0
 }
 
-// SetPMapFunc installs the source of the partition-map version stamped on
-// every response (see wire.Msg.PMap). fn must be safe for concurrent use
-// and cheap — it runs on every response send. Sharded DMS nodes install
-// their partition node's map version here.
-func (s *Server) SetPMapFunc(fn func() uint64) { s.pmapFn.Store(&fn) }
-
-// pmapVer returns the current partition-map version, 0 when no source is
-// installed (unsharded DMS, FMS/OSS servers, tests).
-func (s *Server) pmapVer() uint64 {
-	if fn := s.pmapFn.Load(); fn != nil {
-		return (*fn)()
-	}
-	return 0
-}
-
 // OwnsKey reports whether this server owns key under the installed
-// membership's current ring. known is false when no membership is
+// cluster map's current FMS ring. known is false when no map is
 // installed or the server is not an FMS — callers must then skip the
 // check (static topologies keep working unguarded).
 func (s *Server) OwnsKey(key []byte) (owns, known bool) {
-	ms := s.member.Load()
+	ms := s.cmap.Load()
 	if ms == nil || ms.ring == nil {
 		return false, false
 	}
-	return ms.ring.Locate(key) == ms.self, true
+	return ms.ring.Locate(key) == ms.id, true
 }
 
 // DedupInflightSkips returns how many dedup-window evictions were skipped
@@ -337,7 +332,7 @@ type serverFlight struct {
 }
 
 // SetFlight installs the flight-recorder journal this server emits into:
-// dedup replays, slow requests, and membership epoch installs become typed
+// dedup replays, slow requests, and cluster map installs become typed
 // events carrying the request's trace id. name labels the events (e.g.
 // "fms-1"). A nil journal disables emission. Safe to call while serving.
 func (s *Server) SetFlight(j *flight.Journal, name string) {
@@ -469,7 +464,7 @@ func (s *Server) serveConn(conn netsim.Conn) {
 					}
 					resp := &wire.Msg{ID: req.ID, IsResp: true, Op: req.Op,
 						Status: ent.status, ServiceNS: ent.service, Trace: req.Trace, Span: req.Span,
-						Epoch: s.epoch.Load(), Lease: s.leaseSeq(), PMap: s.pmapVer(), Body: ent.body}
+						Epoch: s.Epoch(), Lease: s.leaseSeq(), Body: ent.body}
 					_ = conn.Send(resp)
 					return
 				}
@@ -488,7 +483,7 @@ func (s *Server) serveConn(conn netsim.Conn) {
 			}
 			resp := &wire.Msg{ID: req.ID, IsResp: true, Op: req.Op,
 				Status: status, ServiceNS: uint64(service), Trace: req.Trace, Span: req.Span,
-				Epoch: s.epoch.Load(), Lease: s.leaseSeq(), PMap: s.pmapVer(), Body: body}
+				Epoch: s.Epoch(), Lease: s.leaseSeq(), Body: body}
 			_ = conn.Send(resp)
 		}(req)
 	}
@@ -566,7 +561,7 @@ func (s *Server) serveBatch(conn netsim.Conn, req *wire.Msg, recvT time.Time) {
 	reply := func(st wire.Status, body []byte, service time.Duration) {
 		resp := &wire.Msg{ID: req.ID, IsResp: true, Op: wire.OpBatch,
 			Status: st, ServiceNS: uint64(service), Trace: req.Trace, Span: req.Span,
-			Epoch: s.epoch.Load(), Lease: s.leaseSeq(), PMap: s.pmapVer(), Body: body}
+			Epoch: s.Epoch(), Lease: s.leaseSeq(), Body: body}
 		_ = conn.Send(resp)
 	}
 	// The envelope gets its own server-side span under the client's span;
@@ -779,20 +774,16 @@ type CallSpec struct {
 	// bounded sends (netsim.DeadlineSender, i.e. real TCP) the socket
 	// write is bounded by the same timeout. Zero means wait forever.
 	Timeout time.Duration
-	// OnEpoch, if set, is invoked with the response header's membership
-	// epoch when it is non-zero — the hook the client library uses to
-	// notice, on ordinary traffic, that the cluster installed a newer FMS
-	// membership than the one its ring was built from.
+	// OnEpoch, if set, is invoked with the response header's cluster map
+	// version when it is non-zero — the hook the client library uses to
+	// notice, on ordinary traffic, that the cluster installed a newer map
+	// than the one it routes by.
 	OnEpoch func(epoch uint64)
 	// OnLease, if set, is invoked with the response header's lease-recall
 	// sequence when it is non-zero — the hook the client cache uses to
 	// notice, on ordinary traffic, that the DMS recalled directory leases
 	// it may still be caching (see internal/client lease coherence).
 	OnLease func(seq uint64)
-	// OnPMap, if set, is invoked with the response header's partition-map
-	// version when it is non-zero — the hook the client router uses to
-	// notice, on ordinary traffic, that the DMS partition map changed.
-	OnPMap func(ver uint64)
 }
 
 // Do issues the call described by spec and blocks for its response (or
@@ -879,9 +870,6 @@ func (c *Client) Do(spec CallSpec) (wire.Status, []byte, time.Duration, error) {
 	}
 	if resp.Lease != 0 && spec.OnLease != nil {
 		spec.OnLease(resp.Lease)
-	}
-	if resp.PMap != 0 && spec.OnPMap != nil {
-		spec.OnPMap(resp.PMap)
 	}
 	return resp.Status, resp.Body, virt, nil
 }

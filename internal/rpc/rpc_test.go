@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"locofs/internal/chash"
 	"locofs/internal/netsim"
 	"locofs/internal/wire"
 )
@@ -201,5 +202,44 @@ func TestManySequentialCalls(t *testing.T) {
 	}
 	if c.Trips() != 2000 {
 		t.Errorf("Trips = %d", c.Trips())
+	}
+}
+
+// TestOwnsKey: with a cluster map installed the server answers ownership
+// exactly as the equivalent client-side ring would; without one (or when
+// the map does not list the server as an FMS) ownership is unknowable.
+func TestOwnsKey(t *testing.T) {
+	m := &wire.ClusterMap{
+		Ver: 1,
+		FMS: []wire.Member{{ID: 0, Addr: "fms-0"}, {ID: 1, Addr: "fms-1"}},
+	}
+	s := NewServer()
+	if _, known := s.OwnsKey([]byte("k")); known {
+		t.Error("static topology reported known ownership")
+	}
+	s.SetClusterMap(m, "fms-1")
+	ring := chash.NewRing(0, 0, 1)
+	agree := 0
+	for _, k := range []string{"a", "b", "c", "d", "e", "f", "g", "h"} {
+		owns, known := s.OwnsKey([]byte(k))
+		if !known {
+			t.Fatalf("ownership unknown for %q", k)
+		}
+		if owns == (ring.Locate([]byte(k)) == 1) {
+			agree++
+		}
+	}
+	if agree != 8 {
+		t.Errorf("OwnsKey disagrees with ring on %d/8 keys", 8-agree)
+	}
+	// A server the map does not list as an FMS tracks the version but not
+	// ownership.
+	s2 := NewServer()
+	s2.SetClusterMap(m, "dms")
+	if _, known := s2.OwnsKey([]byte("k")); known {
+		t.Error("non-FMS server reported known ownership")
+	}
+	if s2.Epoch() != 1 {
+		t.Errorf("non-FMS map version = %d, want 1", s2.Epoch())
 	}
 }

@@ -126,8 +126,8 @@ type CollectOptions struct {
 	// Server names the process (e.g. "fms-2"); "" falls back to the
 	// registry's server base label if present.
 	Server string
-	// Epoch is the membership epoch the process currently holds (0 = not
-	// membership-aware).
+	// Epoch is the version of the cluster map the process currently holds
+	// (0 = no map installed).
 	Epoch uint64
 	// Objectives evaluated against the registry (nil = ServerObjectives).
 	Objectives []Objective

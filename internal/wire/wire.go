@@ -67,18 +67,12 @@ const (
 // Generic/administrative operations.
 const (
 	OpPing Op = 0x0001
-	// OpGetMembership returns the server's current encoded Membership
+	// OpGetClusterMap returns the server's installed encoded ClusterMap
 	// (StatusNotFound if none was ever installed — a static topology).
-	OpGetMembership Op = 0x0002
-	// OpSetMembership installs a Membership on the server if its epoch is
-	// not older than the installed one (StatusStale otherwise).
-	OpSetMembership Op = 0x0003
-	// OpGetPartMap returns the server's current encoded PartMap
-	// (StatusNotFound if none was ever installed — an unsharded DMS).
-	OpGetPartMap Op = 0x0004
-	// OpSetPartMap installs a PartMap on a DMS node if its version is not
-	// older than the installed one (StatusStale otherwise).
-	OpSetPartMap Op = 0x0005
+	OpGetClusterMap Op = 0x0002
+	// OpSetClusterMap installs a ClusterMap on the server if its version
+	// is newer than the installed one (StatusStale otherwise).
+	OpSetClusterMap Op = 0x0003
 )
 
 // Operations of the sharded DMS replication/partition plane (0x0400 range).
@@ -193,14 +187,10 @@ func (o Op) String() string {
 		return "DeleteBlocks"
 	case OpPing:
 		return "Ping"
-	case OpGetMembership:
-		return "GetMembership"
-	case OpSetMembership:
-		return "SetMembership"
-	case OpGetPartMap:
-		return "GetPartMap"
-	case OpSetPartMap:
-		return "SetPartMap"
+	case OpGetClusterMap:
+		return "GetClusterMap"
+	case OpSetClusterMap:
+		return "SetClusterMap"
 	case OpLogAppend:
 		return "LogAppend"
 	case OpSeedUpdate:
@@ -238,17 +228,17 @@ func (o Op) String() string {
 //     utimens (set exact times), size updates, block put (same bytes) and
 //     block delete (already-gone is fine).
 //
-// The migration/membership ops are all retry-safe too: scan and
-// get-membership are reads, install overwrites with absolute state,
-// delete is conditional on the stored bytes, and set-membership installs
-// an absolute epoch-guarded state.
+// The migration and cluster-map ops are all retry-safe too: scan and
+// get-cluster-map are reads, install overwrites with absolute state,
+// delete is conditional on the stored bytes, and set-cluster-map installs
+// an absolute version-guarded state (a repeat of the installed map acks
+// OK, see rpc.Server.SetClusterMap).
 //
-// The partition-plane ops are designed idempotent: get/set-part-map follow
-// the membership pattern (read / version-guarded absolute state), a log
-// append at an already-applied index replays its ack, a seed update
-// installs absolute bytes, and the two-partition rename messages are
-// deduplicated by transaction id at the destination (a re-prepare,
-// re-commit, or re-abort of a known transaction acks without re-executing).
+// The partition-plane ops are designed idempotent: a log append at an
+// already-applied index replays its ack, a seed update installs absolute
+// bytes, and the two-partition rename messages are deduplicated by
+// transaction id at the destination (a re-prepare, re-commit, or re-abort
+// of a known transaction acks without re-executing).
 //
 // Everything else — create, remove, mkdir, rmdir, renames, truncate,
 // subtree file removal, and the OpBatch envelope — reports false: a replay
@@ -262,8 +252,7 @@ func (o Op) Idempotent() bool {
 		OpChmodFile, OpChownFile, OpChmodDir, OpChownDir, OpUtimensFile,
 		OpUpdateSize, OpPutBlock, OpDeleteBlocks,
 		OpMigrateScan, OpMigrateInstall, OpMigrateDelete,
-		OpGetMembership, OpSetMembership,
-		OpGetPartMap, OpSetPartMap, OpLogAppend, OpSeedUpdate, OpLogFetch,
+		OpGetClusterMap, OpSetClusterMap, OpLogAppend, OpSeedUpdate, OpLogFetch,
 		OpRenamePrepare, OpRenameCommit, OpRenameAbort:
 		return true
 	}
@@ -295,9 +284,9 @@ const (
 	// mutations are protected by the request-id dedup window (see Msg.Req).
 	StatusDeadline
 	// StatusWrongPartition reports that the addressed DMS node does not own
-	// the request's path under its installed partition map — the client
+	// the request's path under its installed cluster map — the client
 	// routed with a stale map. Like StatusStale it signals routing
-	// staleness, not failure: the client refreshes its partition map and
+	// staleness, not failure: the client refreshes its cluster map and
 	// retries against the correct owner. StatusError.Is treats it as
 	// matching StatusStale so callers can test both with one sentinel.
 	StatusWrongPartition
@@ -421,32 +410,26 @@ type Msg struct {
 	// its dedup window and replays the recorded response instead of
 	// executing twice (at-most-once semantics). Zero means no dedup.
 	Req uint64
-	// Epoch is the sender's FMS-membership epoch. Servers stamp their
-	// current epoch on every response so clients piggyback staleness
-	// detection on ordinary traffic: a response epoch newer than the
-	// client's ring triggers an asynchronous membership refresh. Zero
-	// means "no membership installed" (static topology) and is ignored.
+	// Epoch is the version of the sender's installed cluster map (see
+	// ClusterMap). Servers stamp it on every response so clients piggyback
+	// staleness detection on ordinary traffic: a version newer than the
+	// client's map — an FMS joined or left, a DMS partition failed over —
+	// triggers a map refresh. Zero means "no map installed" (static
+	// topology) and is ignored.
 	Epoch uint64
 	// Lease is the DMS's lease-recall sequence number, stamped on every DMS
-	// response the same way Epoch piggybacks membership staleness: a value
+	// response the same way Epoch piggybacks map staleness: a value
 	// newer than what the client has applied means some cached directory
 	// lease was recalled, and the client must treat unverified cache entries
 	// as stale until it catches up (see internal/dms lease table). Zero
 	// means "nothing ever recalled" and is ignored.
 	Lease uint64
-	// PMap is the DMS partition-map version, stamped on every DMS response
-	// exactly as Epoch piggybacks FMS membership: a value newer than the
-	// client's routing map means partitions split, merged, or failed over,
-	// and the client refreshes via OpGetPartMap before its routing goes
-	// stale enough to draw StatusWrongPartition. Zero means "no partition
-	// map installed" (single unsharded DMS) and is ignored.
-	PMap uint64
-	Body []byte
+	Body  []byte
 }
 
 // header: id(8) flags(1) op(2) status(2) service(8) trace(8) span(8)
-// req(8) epoch(8) lease(8) pmap(8)
-const headerSize = 69
+// req(8) epoch(8) lease(8)
+const headerSize = 61
 
 // MaxBody bounds a single message body (64 MiB), protecting servers from
 // malformed frames.
@@ -474,7 +457,6 @@ func WriteMsg(w io.Writer, m *Msg) error {
 	binary.BigEndian.PutUint64(hdr[41:], m.Req)
 	binary.BigEndian.PutUint64(hdr[49:], m.Epoch)
 	binary.BigEndian.PutUint64(hdr[57:], m.Lease)
-	binary.BigEndian.PutUint64(hdr[65:], m.PMap)
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
@@ -507,7 +489,6 @@ func ReadMsg(r io.Reader) (*Msg, error) {
 		Req:       binary.BigEndian.Uint64(payload[37:]),
 		Epoch:     binary.BigEndian.Uint64(payload[45:]),
 		Lease:     binary.BigEndian.Uint64(payload[53:]),
-		PMap:      binary.BigEndian.Uint64(payload[61:]),
 		Body:      payload[headerSize:],
 	}
 	return m, nil

@@ -146,17 +146,20 @@ func TestStatusStrings(t *testing.T) {
 	}
 }
 
+// TestMembershipRoundTrip: the FMS half of a cluster map — the current and
+// previous sets and their ring IDs — survives the codec, open and closed
+// migration windows alike.
 func TestMembershipRoundTrip(t *testing.T) {
-	m := &Membership{
-		Epoch: 3,
-		FMS:   []Member{{0, "fms-0"}, {1, "fms-1"}, {4, "fms-4"}},
-		Prev:  []Member{{0, "fms-0"}, {1, "fms-1"}},
+	m := &ClusterMap{
+		Ver:  3,
+		FMS:  []Member{{0, "fms-0"}, {1, "fms-1"}, {4, "fms-4"}},
+		Prev: []Member{{0, "fms-0"}, {1, "fms-1"}},
 	}
-	got, err := DecodeMembership(EncodeMembership(m))
+	got, err := DecodeClusterMap(EncodeClusterMap(m))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Epoch != 3 || len(got.FMS) != 3 || len(got.Prev) != 2 ||
+	if got.Ver != 3 || len(got.FMS) != 3 || len(got.Prev) != 2 ||
 		got.FMS[2] != (Member{4, "fms-4"}) || got.Prev[1] != (Member{1, "fms-1"}) {
 		t.Errorf("round trip = %+v", got)
 	}
@@ -168,32 +171,28 @@ func TestMembershipRoundTrip(t *testing.T) {
 	}
 
 	// Empty Prev (closed window) must survive the trip too.
-	m2 := &Membership{Epoch: 4, FMS: m.FMS}
-	got2, err := DecodeMembership(EncodeMembership(m2))
+	got2, err := DecodeClusterMap(EncodeClusterMap(&ClusterMap{Ver: 4, FMS: m.FMS}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got2.Epoch != 4 || len(got2.Prev) != 0 || len(got2.FMS) != 3 {
+	if got2.Ver != 4 || len(got2.Prev) != 0 || len(got2.FMS) != 3 {
 		t.Errorf("round trip = %+v", got2)
-	}
-
-	if _, err := DecodeMembership([]byte{1, 2, 3}); err == nil {
-		t.Error("truncated membership decoded without error")
 	}
 }
 
+// TestSetMembershipRoundTrip: an OpSetClusterMap request carries the map
+// and the receiver's own address.
 func TestSetMembershipRoundTrip(t *testing.T) {
-	m := &Membership{Epoch: 2, FMS: []Member{{0, "fms-0"}, {1, "fms-1"}}}
-	got, self, err := DecodeSetMembership(EncodeSetMembership(m, 1))
+	m := &ClusterMap{Ver: 2, FMS: []Member{{0, "fms-0"}, {1, "fms-1"}}}
+	got, self, err := DecodeSetClusterMap(EncodeSetClusterMap(m, "fms-1"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if self != 1 || got.Epoch != 2 || len(got.FMS) != 2 {
-		t.Errorf("self=%d membership=%+v", self, got)
+	if self != "fms-1" || got.Ver != 2 || len(got.FMS) != 2 {
+		t.Errorf("self=%q map=%+v", self, got)
 	}
-	_, self, err = DecodeSetMembership(EncodeSetMembership(m, -1))
-	if err != nil || self != -1 {
-		t.Errorf("self=%d err=%v, want -1 nil", self, err)
+	if _, _, err := DecodeSetClusterMap([]byte{0, 0, 0, 1}); err == nil {
+		t.Error("truncated set request decoded without error")
 	}
 }
 

@@ -46,12 +46,12 @@
 //
 // Options.DMSPartitions/DMSCuts/DMSReplicas shard the directory namespace
 // into replicated subtree partitions (DESIGN.md §16). Clients route by
-// path using a versioned partition map fetched from the cluster and
-// refreshed automatically when responses carry a newer map version or a
-// partition refuses a misrouted path (see ErrStale). Note the wire-format
-// flag day: sharded-era servers and clients exchange a partition-map
-// version field in every message header, so both sides must be built from
-// the same release.
+// path using the versioned cluster map fetched from the cluster — the same
+// map that names the FMS set — refreshed automatically when responses
+// carry a newer map version or a partition refuses a misrouted path (see
+// ErrStale). Note the wire-format flag day: servers and clients exchange
+// a 61-byte message header carrying one cluster-map version, so both sides
+// must be built from the same release.
 //
 // The packages under internal/ hold the implementation: metadata layouts,
 // KV engines, the RPC stack, the servers, the baseline systems the paper
