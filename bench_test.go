@@ -249,6 +249,32 @@ func BenchmarkLocoFSCreate(b *testing.B) {
 	}
 }
 
+// BenchmarkLocoFSMkdirRmdir measures the end-to-end wall cost of one
+// mkdir+rmdir pair: the DMS mutation path through its partition node's op
+// log, plus the rmdir's emptiness check on every FMS.
+func BenchmarkLocoFSMkdirRmdir(b *testing.B) {
+	cluster, err := core.Start(core.Options{FMSCount: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cluster.Close()
+	cl, err := cluster.NewClient(core.ClientConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cl.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := cl.Mkdir("/d", 0o755); err != nil {
+			b.Fatal(err)
+		}
+		if err := cl.Rmdir("/d"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkLocoFSStat measures the end-to-end wall cost of a file stat.
 func BenchmarkLocoFSStat(b *testing.B) {
 	cluster, err := core.Start(core.Options{FMSCount: 4})

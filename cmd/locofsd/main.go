@@ -4,9 +4,14 @@
 //
 // Server roles:
 //
-//	locofsd -role dms  -listen :7000
+//	locofsd -role dms  -listen host:7000
 //	locofsd -role fms  -listen :7001 -id 1 [-coupled]
 //	locofsd -role oss  -listen :7002
+//
+// The DMS serves a cluster map naming its own address, and clients route
+// directory operations to the addresses the map lists, so its -listen must
+// name a host clients can reach (or the addresses come from -dms-groups,
+// below).
 //
 // Client:
 //
@@ -32,20 +37,21 @@
 // -hot-entries/-hot-factor/-hot-refresh to keep the N hottest directories
 // on stretched, background-refreshed leases:
 //
-//	locofsd -role dms -listen :7000 -lease-dur 30s
+//	locofsd -role dms -listen host:7000 -lease-dur 30s
 //	locofsd -role client ... -hot-entries 64 -hot-factor 4 -hot-refresh 5s
 //
 // Sharded DMS: the directory namespace can be split into replicated
-// subtree partitions (DESIGN.md §16). Every DMS process gets the same
-// -dms-groups (partition groups separated by ";", replica addresses
-// comma-separated leader-first) and -dms-cuts (cut directories, assigned
-// round-robin to partitions 1..N-1), plus its own -partition/-replica
-// coordinates; clients dial partition 0's leader as the bootstrap -dms
-// (-dms-sharded makes the client refuse a DMS that serves no cluster map).
-// Note the wire-format flag day: the message header is 61 bytes and
-// carries one cluster-map version, where earlier sharded-era binaries sent
-// 69 bytes with a separate partition-map version, so servers and clients
-// must be built from the same release.
+// subtree partitions (DESIGN.md §16). Every DMS process runs as a
+// partition node; the single DMS above is one partition of one replica,
+// whose -dms-groups defaults to its -listen address. A sharded deployment
+// gives every DMS process the same -dms-groups (partition groups separated
+// by ";", replica addresses comma-separated leader-first) and -dms-cuts
+// (cut directories, assigned round-robin to partitions 1..N-1), plus its
+// own -partition/-replica coordinates; clients dial partition 0's leader
+// as the bootstrap -dms. Note the wire-format flag day: the message header
+// is 61 bytes and carries one cluster-map version, where earlier
+// sharded-era binaries sent 69 bytes with a separate partition-map
+// version, so servers and clients must be built from the same release.
 //
 // Replication-plane knobs: -dms-log-cap bounds each partition's retained
 // op log (the leader truncates entries below the group-wide applied
@@ -60,7 +66,7 @@
 //	locofsd -role dms -listen :7010 -partition 0 -replica 1 -dms-groups ... -dms-cuts /data
 //	locofsd -role dms -listen :7001 -partition 1 -replica 0 -dms-groups ... -dms-cuts /data
 //	locofsd -role dms -listen :7011 -partition 1 -replica 1 -dms-groups ... -dms-cuts /data
-//	locofsd -role client -dms h0:7000 -dms-sharded ...
+//	locofsd -role client -dms h0:7000 ...
 //
 // Online elasticity: the client role doubles as the membership-change
 // coordinator. Start the new FMS process first, then grow the ring from
@@ -93,6 +99,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -108,7 +115,6 @@ import (
 	"locofs/internal/dms/partition"
 	"locofs/internal/flight"
 	"locofs/internal/fms"
-	"locofs/internal/fspath"
 	"locofs/internal/kv"
 	"locofs/internal/netsim"
 	"locofs/internal/objstore"
@@ -135,13 +141,12 @@ func main() {
 	breakerFailures := flag.Int("breaker-failures", 0, "consecutive failures that trip the per-server circuit breaker (client role; 0 = breaker off)")
 	breakerCooldown := flag.Duration("breaker-cooldown", 0, "how long a tripped breaker fails fast before probing (client role; 0 = 1s)")
 	leaseDur := flag.Duration("lease-dur", 0, "directory lease duration granted to clients (dms role; 0 = default 30s)")
-	dmsGroups := flag.String("dms-groups", "", "sharded DMS deployment: semicolon-separated partition groups, each a comma-separated replica address list leader-first (dms role; empty = single unsharded DMS)")
+	dmsGroups := flag.String("dms-groups", "", "DMS partition groups: semicolon-separated, each a comma-separated replica address list leader-first (dms role; empty = one partition of one replica at -listen, which must then name a host)")
 	dmsCuts := flag.String("dms-cuts", "", "comma-separated namespace cut directories, assigned round-robin to partitions 1..N-1 (dms role with -dms-groups)")
 	dmsPartition := flag.Int("partition", 0, "this node's partition id (dms role with -dms-groups)")
 	dmsReplica := flag.Int("replica", 0, "this node's replica slot in its partition group, 0 = leader (dms role with -dms-groups)")
-	dmsSharded := flag.Bool("dms-sharded", false, "require the DMS at -dms to serve a cluster map (client role against a -dms-groups deployment)")
-	dmsLogCap := flag.Int("dms-log-cap", 0, "retained op-log entries per DMS partition before the leader truncates below the group-wide applied watermark (dms role with -dms-groups; 0 = default 4096)")
-	dmsCatchup := flag.Duration("dms-catchup", 5*time.Second, "how often a follower replica probes its leader for missed log entries so an excluded replica rejoins on its own (dms role with -dms-groups; 0 = on-demand only)")
+	dmsLogCap := flag.Int("dms-log-cap", 0, "retained op-log entries per DMS partition before the leader truncates below the group-wide applied watermark (dms role; 0 = default 4096)")
+	dmsCatchup := flag.Duration("dms-catchup", 5*time.Second, "how often a follower replica probes its leader for missed log entries so an excluded replica rejoins on its own (dms role with replicas; 0 = on-demand only)")
 	lease := flag.Duration("lease", 0, "directory cache lease for the TTL-only fallback (client role; 0 = default 30s)")
 	noCoherent := flag.Bool("no-coherent-cache", false, "revert the directory cache to TTL-only semantics, no lease coherence (client role)")
 	noNegCache := flag.Bool("no-neg-cache", false, "disable negative-entry (ENOENT) caching (client role)")
@@ -187,43 +192,45 @@ func main() {
 	}
 	switch *role {
 	case "dms":
+		// Every DMS is a partition node. Without -dms-groups it is the
+		// paper's single DMS: one partition of one replica at -listen.
 		name := "dms"
-		if *dmsGroups != "" {
+		groups := *dmsGroups
+		if groups != "" {
 			name = fmt.Sprintf("dms-p%d-r%d", *dmsPartition, *dmsReplica)
+		} else if host, _, err := net.SplitHostPort(*listen); err != nil || host == "" {
+			fmt.Fprintf(os.Stderr, "locofsd: -listen %q names no host; clients route to the DMS addresses the cluster map lists, so give -listen a host clients can reach, or list the addresses in -dms-groups\n", *listen)
+			os.Exit(2)
+		} else {
+			groups = *listen
+		}
+		pm, self, err := parseDMSGroups(groups, *dmsCuts, *dmsPartition, *dmsReplica)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "locofsd:", err)
+			os.Exit(2)
 		}
 		store := kv.Instrument(durable(name, kv.NewBTreeStore()), kv.RAM)
-		opts := dms.Options{Store: store, CheckPermissions: true, LeaseDur: *leaseDur}
-		if *dmsGroups != "" {
-			// Replicas of one partition must produce byte-identical inodes
-			// from log replay, so they share a deterministic ServerID (high
-			// bit keeps it out of the FMS id range).
-			opts.ServerID = 0x80000000 | uint32(*dmsPartition)
-		}
-		d := dms.New(opts)
+		d := dms.New(dms.Options{
+			Store:            store,
+			CheckPermissions: true,
+			LeaseDur:         *leaseDur,
+			ServerID:         partition.ServerID(uint32(*dmsPartition)),
+		})
 		d.SetFlight(srv.flightJ, name)
 		srv.hot = map[string]*trace.TopK{name: d.HotKeys()}
 		srv.extraReg = d.RegisterMetrics
-		attach := d.Attach
-		if *dmsGroups != "" {
-			pm, self, err := parseDMSGroups(*dmsGroups, *dmsCuts, *dmsPartition, *dmsReplica)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "locofsd:", err)
-				os.Exit(2)
-			}
-			node := partition.New(partition.Config{
-				PID:          uint32(*dmsPartition),
-				Self:         self,
-				Map:          pm,
-				DMS:          d,
-				Dialer:       netsim.TCPDialer{},
-				Journal:      srv.flightJ,
-				Source:       name,
-				LogCap:       *dmsLogCap,
-				CatchupEvery: *dmsCatchup,
-			})
-			attach = node.Attach
-		}
-		srv.serve(*listen, name, store, attach)
+		node := partition.New(partition.Config{
+			PID:          uint32(*dmsPartition),
+			Self:         self,
+			Map:          pm,
+			DMS:          d,
+			Dialer:       netsim.TCPDialer{},
+			Journal:      srv.flightJ,
+			Source:       name,
+			LogCap:       *dmsLogCap,
+			CatchupEvery: *dmsCatchup,
+		})
+		srv.serve(*listen, name, store, node.Attach)
 	case "fms":
 		name := fmt.Sprintf("fms-%d", *id)
 		store := kv.Instrument(durable(name, kv.NewHashStore()), kv.RAM)
@@ -248,7 +255,6 @@ func main() {
 			hotEntries: *hotEntriesN,
 			hotFactor:  *hotFactor,
 			hotRefresh: *hotRefresh,
-			sharded:    *dmsSharded,
 		}
 		runClient(*dmsAddr, *fmsAddrs, *ossAddrs, *cmds, srv, cc, opts)
 	case "status":
@@ -276,16 +282,14 @@ type serverFlags struct {
 	extraReg func(*telemetry.Registry)
 }
 
-// parseDMSGroups builds the version-1 cluster map every node of a sharded
-// deployment starts from. It holds the DMS half only: the FMS set stays
+// parseDMSGroups builds the version-1 cluster map every DMS node starts
+// from (partition.NewMap). It holds the DMS half only: the FMS set stays
 // the clients' configured one until a coordinator installs a map naming
 // it. groups is the -dms-groups spec (semicolon-separated partitions,
-// comma-separated replica addresses leader-first), cuts the -dms-cuts list
-// assigned round-robin to partitions 1..N-1 in order — the same convention
-// as the in-process cluster. It returns the map and this node's own
-// address (groups[pid][rep]).
+// comma-separated replica addresses leader-first), cuts the -dms-cuts
+// list. It returns the map and this node's own address (groups[pid][rep]).
 func parseDMSGroups(groups, cuts string, pid, rep int) (*wire.ClusterMap, string, error) {
-	pm := &wire.ClusterMap{Ver: 1}
+	var groupList [][]string
 	for _, g := range strings.Split(groups, ";") {
 		var addrs []string
 		for _, a := range strings.Split(g, ",") {
@@ -296,27 +300,20 @@ func parseDMSGroups(groups, cuts string, pid, rep int) (*wire.ClusterMap, string
 		if len(addrs) == 0 {
 			return nil, "", fmt.Errorf("-dms-groups: empty partition group in %q", groups)
 		}
-		pm.Groups = append(pm.Groups, addrs)
+		groupList = append(groupList, addrs)
 	}
-	parts := len(pm.Groups)
 	var cutList []string
 	for _, cd := range strings.Split(cuts, ",") {
 		if cd = strings.TrimSpace(cd); cd != "" {
 			cutList = append(cutList, cd)
 		}
 	}
-	if parts > 1 && len(cutList) < parts-1 {
-		return nil, "", fmt.Errorf("-dms-cuts: %d partitions need at least %d cut directories, got %d", parts, parts-1, len(cutList))
+	pm, err := partition.NewMap(groupList, cutList)
+	if err != nil {
+		return nil, "", fmt.Errorf("-dms-groups/-dms-cuts: %w", err)
 	}
-	for i, cd := range cutList {
-		clean, err := fspath.Clean(cd)
-		if err != nil || clean == "/" {
-			return nil, "", fmt.Errorf("-dms-cuts: bad cut directory %q", cd)
-		}
-		pm.Cuts = append(pm.Cuts, wire.PartCut{Dir: clean, PID: uint32(i%(parts-1)) + 1})
-	}
-	if pid < 0 || pid >= parts {
-		return nil, "", fmt.Errorf("-partition %d out of range for %d groups", pid, parts)
+	if pid < 0 || pid >= len(groupList) {
+		return nil, "", fmt.Errorf("-partition %d out of range for %d groups", pid, len(groupList))
 	}
 	if rep < 0 || rep >= len(pm.Groups[pid]) {
 		return nil, "", fmt.Errorf("-replica %d out of range for partition %d's %d replicas", rep, pid, len(pm.Groups[pid]))
@@ -523,7 +520,6 @@ type cacheFlags struct {
 	hotEntries int
 	hotFactor  int
 	hotRefresh time.Duration
-	sharded    bool // -dms-sharded: require the DMS to serve a cluster map
 }
 
 // runClient connects to a TCP cluster and executes simple commands.
@@ -571,7 +567,6 @@ func runClient(dmsAddr, fmsList, ossList, cmds string, sf serverFlags, cc cacheF
 	cl, err := client.Dial(client.Config{
 		Dialer:                netsim.TCPDialer{},
 		DMSAddr:               dmsAddr,
-		DMSSharded:            cc.sharded,
 		FMSAddrs:              strings.Split(fmsList, ","),
 		OSSAddrs:              strings.Split(ossList, ","),
 		Metrics:               reg,

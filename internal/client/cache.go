@@ -278,10 +278,6 @@ func (c *dirCache) marksIfAny(src uint32) *srcMarks {
 	return m
 }
 
-// observe records a recall sequence seen on a response header from the
-// single legacy source. Monotonic.
-func (c *dirCache) observe(seq uint64) { c.observeFrom(0, seq) }
-
 // observeFrom records a recall sequence seen on a response header from
 // source src. Monotonic per source.
 func (c *dirCache) observeFrom(src uint32, seq uint64) {
@@ -293,10 +289,6 @@ func (c *dirCache) observeFrom(src uint32, seq uint64) {
 		}
 	}
 }
-
-// behind reports whether the cache has observed legacy-source recalls it has
-// not applied, returning the applied watermark to fetch from.
-func (c *dirCache) behind() (since uint64, ok bool) { return c.behindFrom(0) }
 
 // behindFrom reports whether the cache has observed recalls from source src
 // it has not applied, returning that source's applied watermark.
@@ -771,32 +763,16 @@ func (c *dirCache) selfApplyScoped(uncond bool, src uint32, last uint64, n uint3
 	c.mu.Unlock()
 }
 
-func (c *dirCache) selfCreated(path string, last uint64, n uint32) {
-	c.selfCreatedFrom(0, path, last, n)
-}
-
 func (c *dirCache) selfCreatedFrom(src uint32, path string, last uint64, n uint32) {
 	c.selfApply(src, last, n, selfOp{wire.RecallCreated, path})
-}
-
-func (c *dirCache) selfRemoved(path string, last uint64, n uint32) {
-	c.selfRemovedFrom(0, path, last, n)
 }
 
 func (c *dirCache) selfRemovedFrom(src uint32, path string, last uint64, n uint32) {
 	c.selfApply(src, last, n, selfOp{wire.RecallRemoved, path})
 }
 
-func (c *dirCache) selfPatched(path string, last uint64, n uint32) {
-	c.selfPatchedFrom(0, path, last, n)
-}
-
 func (c *dirCache) selfPatchedFrom(src uint32, path string, last uint64, n uint32) {
 	c.selfApply(src, last, n, selfOp{wire.RecallPatched, path})
-}
-
-func (c *dirCache) selfRenamed(oldPath, newPath string, last uint64, n uint32) {
-	c.selfRenamedFrom(0, oldPath, newPath, last, n)
 }
 
 func (c *dirCache) selfRenamedFrom(src uint32, oldPath, newPath string, last uint64, n uint32) {

@@ -30,13 +30,13 @@ func grant(seq uint64) wire.LeaseGrant {
 func TestCoherentFreshnessGate(t *testing.T) {
 	c, _ := newCoherentCache(0)
 	c.put("/a", freshInode(1), grant(5))
-	c.observe(5)
+	c.observeFrom(0, 5)
 	if _, ok := c.get("/a"); !ok {
 		t.Fatal("entry at the observed watermark missed")
 	}
 
 	// A mutation happened somewhere: stamped sequence moves to 7.
-	c.observe(7)
+	c.observeFrom(0, 7)
 	if _, ok := c.get("/a"); ok {
 		t.Fatal("entry served despite unapplied recalls")
 	}
@@ -182,7 +182,7 @@ func TestPutRecallWatermarkAtomic(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		c, _ := newCoherentCache(0)
 		seq := uint64(i + 2)
-		c.observe(seq)
+		c.observeFrom(0, seq)
 		var wg sync.WaitGroup
 		wg.Add(2)
 		go func() {
@@ -210,12 +210,12 @@ func TestSelfApplyWatermarkAtomic(t *testing.T) {
 		c, _ := newCoherentCache(0)
 		seq := uint64(i + 2)
 		c.applyRecalls(seq-1, false, nil) // caught up through seq-1
-		c.observe(seq)
+		c.observeFrom(0, seq)
 		var wg sync.WaitGroup
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			c.selfRemoved("/r", seq, 1)
+			c.selfRemovedFrom(0, "/r", seq, 1)
 		}()
 		go func() {
 			defer wg.Done()
@@ -256,11 +256,11 @@ func TestSelfApplyPublished(t *testing.T) {
 	c, _ := newCoherentCache(0)
 	c.putNeg("/d/x", grant(2))
 	c.putList("/d", []DirEntry{{Name: "y"}}, grant(2))
-	c.observe(2)
+	c.observeFrom(0, 2)
 	c.applyRecalls(2, false, nil)
 
 	// Own mkdir of /d/x published recall seq 3.
-	c.selfCreated("/d/x", 3, 1)
+	c.selfCreatedFrom(0, "/d/x", 3, 1)
 	if c.negHit("/d/x") {
 		t.Error("own create left its negative entry")
 	}
@@ -270,7 +270,7 @@ func TestSelfApplyPublished(t *testing.T) {
 	if d := c.detail(); d.AppliedSeq != 3 || d.MaxSeq != 3 {
 		t.Fatalf("self-apply did not advance watermarks: %+v", d)
 	}
-	if _, behind := c.behind(); behind {
+	if _, behind := c.behindFrom(0); behind {
 		t.Error("cache behind after accounting its own publication")
 	}
 }
@@ -281,8 +281,8 @@ func TestSelfApplySuppressed(t *testing.T) {
 	c, _ := newCoherentCache(0)
 	c.put("/d", freshInode(1), grant(4))
 	c.putList("/d", nil, grant(4))
-	c.observe(4)
-	c.selfRemoved("/d", 0, 0) // suppressed: no recall published
+	c.observeFrom(0, 4)
+	c.selfRemovedFrom(0, "/d", 0, 0) // suppressed: no recall published
 	if _, ok := c.get("/d"); ok {
 		t.Error("own remove left the inode entry")
 	}
@@ -302,7 +302,7 @@ func TestSelfRenamed(t *testing.T) {
 	c.putNeg("/new", grant(1))
 	c.applyRecalls(1, false, nil) // caught up through seq 1
 	// Own rename published removed(/old)+created(/new) as seqs 2 and 3.
-	c.selfRenamed("/old", "/new", 3, 2)
+	c.selfRenamedFrom(0, "/old", "/new", 3, 2)
 	if _, ok := c.get("/old"); ok {
 		t.Error("rename source still cached")
 	}
@@ -326,7 +326,7 @@ func TestTTLModeIgnoresCoherence(t *testing.T) {
 		t.Fatal("negative caching enabled without coherence")
 	}
 	c.put("/a", freshInode(1), wire.LeaseGrant{})
-	c.observe(100) // TTL mode: observe is never called by the client, but must be harmless
+	c.observeFrom(0, 100) // TTL mode: observeFrom is never called by the client, but must be harmless
 	if _, ok := c.get("/a"); !ok {
 		t.Error("TTL entry invalidated by a sequence observation")
 	}
@@ -338,7 +338,7 @@ func TestTTLModeIgnoresCoherence(t *testing.T) {
 	if _, ok := c.getList("/l"); ok {
 		t.Error("listing cached in TTL mode")
 	}
-	if _, behind := c.behind(); behind {
+	if _, behind := c.behindFrom(0); behind {
 		t.Error("TTL cache claims to be behind")
 	}
 }
@@ -353,7 +353,7 @@ func TestHotEntryLeaseStretch(t *testing.T) {
 	g := wire.LeaseGrant{Seq: 1, DurMS: 1000} // 1s grant
 	c.put("/hot", freshInode(1), g)
 	c.put("/cold", freshInode(2), g)
-	c.observe(1)
+	c.observeFrom(0, 1)
 
 	ns.Store(int64(2 * time.Second)) // past the plain lease, inside the stretched one
 	if _, ok := c.get("/hot"); !ok {
@@ -415,7 +415,7 @@ func TestCoherentConcurrentPutRecallExpiry(t *testing.T) {
 					c.getList(p)
 				case 2: // server-side mutations publishing recalls
 					s := srvSeq.Add(1)
-					c.observe(s)
+					c.observeFrom(0, s)
 					c.applyRecalls(s, false, []wire.Recall{{Seq: s, Kind: wire.RecallRemoved, Path: p}})
 				case 3: // lease expiry pressure
 					ns.Add(int64(DefaultLease) / 50)
@@ -423,10 +423,10 @@ func TestCoherentConcurrentPutRecallExpiry(t *testing.T) {
 				case 4: // own mutations, sometimes suppressed
 					if i%2 == 0 {
 						s := srvSeq.Add(1)
-						c.observe(s)
-						c.selfCreated(p, s, 1)
+						c.observeFrom(0, s)
+						c.selfCreatedFrom(0, p, s, 1)
 					} else {
-						c.selfPatched(p, 0, 0)
+						c.selfPatchedFrom(0, p, 0, 0)
 					}
 				}
 			}
@@ -466,7 +466,7 @@ func TestCacheMetricsCounters(t *testing.T) {
 	c.getList("/l") // listing hit
 	c.put("/b", freshInode(2), grant(1))
 	c.put("/c", freshInode(3), grant(1)) // cap 2: evicts
-	c.observe(5)
+	c.observeFrom(0, 5)
 	c.get("/c") // stale miss
 	c.applyRecalls(5, false, []wire.Recall{{Seq: 5, Kind: wire.RecallPatched, Path: "/c"}})
 

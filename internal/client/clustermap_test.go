@@ -86,7 +86,7 @@ func TestFMSOnlyMapChangeLeavesDMSReplicaAlone(t *testing.T) {
 	for _, addr := range m1.Groups[0] {
 		node := partition.New(partition.Config{
 			Self: addr, Map: m1, Dialer: n, Journal: j, Source: addr,
-			DMS:        dms.New(dms.Options{Store: kv.Instrument(kv.NewBTreeStore(), kv.RAM), ServerID: 0x80000000}),
+			DMS:        dms.New(dms.Options{Store: kv.Instrument(kv.NewBTreeStore(), kv.RAM), ServerID: partition.ServerID(0)}),
 			RepTimeout: 60 * time.Millisecond,
 		})
 		rs := rpc.NewServer()

@@ -17,7 +17,6 @@ import (
 	"locofs/internal/dms/partition"
 	"locofs/internal/flight"
 	"locofs/internal/fms"
-	"locofs/internal/fspath"
 	"locofs/internal/kv"
 	"locofs/internal/netsim"
 	"locofs/internal/objstore"
@@ -47,10 +46,11 @@ type Options struct {
 	// (the Fig 14 "hash" rename mode).
 	DMSOnHashStore bool
 	// DMSPartitions shards the directory namespace across this many DMS
-	// partitions (DESIGN.md §16). Default/0/1 with DMSReplicas <= 1 keeps
-	// the single unsharded DMS. Partition 0 is the residual partition
-	// (it owns the root); partition i >= 1 owns the proper descendants of
-	// DMSCuts[i-1].
+	// partitions (DESIGN.md §16). Default/0/1 is the paper's single DMS:
+	// one partition, run like every other as partition.Nodes (one per
+	// replica), as locofsd's dms role is without -dms-groups. Partition 0
+	// is the residual partition (it owns the root); partition i >= 1 owns
+	// the proper descendants of the cuts assigned to it.
 	DMSPartitions int
 	// DMSCuts lists the cut directories — at least one per partition
 	// beyond the first (len >= DMSPartitions-1), assigned round-robin to
@@ -211,14 +211,14 @@ type Cluster struct {
 	opts Options
 	net  *netsim.Network
 
-	// DMS and DMSStore are the directory metadata server and its store.
-	// On a sharded cluster they alias the current leader of partition 0
-	// (the residual partition) and are repointed by FailoverDMS.
+	// DMS and DMSStore are the directory metadata server and its store:
+	// the current leader of partition 0 (the residual partition, and the
+	// only one unless DMSPartitions > 1), repointed by FailoverDMS.
 	DMS      *dms.Server
 	DMSStore *kv.Instrumented
-	// DMSNodes, on a sharded cluster, holds each partition's live replica
-	// nodes leader-first (mirroring the cluster map's groups). Tests use
-	// it to reach a leader's crash hooks; FailoverDMS trims it.
+	// DMSNodes holds each partition's live replica nodes leader-first
+	// (mirroring the cluster map's groups). Tests use it to reach a
+	// leader's crash hooks; FailoverDMS trims it.
 	DMSNodes [][]*partition.Node
 	FMS      []*fms.Server
 	OSS      []*objstore.Server
@@ -256,11 +256,10 @@ type Cluster struct {
 	nextFMSID  int32
 	clientRegs []*telemetry.Registry
 
-	// Sharded-DMS state (DESIGN.md §16), guarded by mu after Start.
+	// DMS partition state (DESIGN.md §16), guarded by mu after Start.
 	// dmsStores parallels DMSNodes; dmsAllNodes keeps every node ever
 	// started so Close can release peer connections of replaced leaders
 	// too.
-	sharded     bool
 	dmsStores   [][]*kv.Instrumented
 	dmsAllNodes []*partition.Node
 }
@@ -297,19 +296,30 @@ func Start(opts Options) (*Cluster, error) {
 		Dir: opts.FlightDir,
 	})
 
-	// The initial cluster map (version 1): the FMS set, with ring IDs
-	// starting as the FMS indices so they match a client's static-config
-	// ring exactly, and the DMS partitions. Every server installs it, so
+	// The initial cluster map (version 1): the DMS partitions, and the FMS
+	// set, with ring IDs starting as the FMS indices so they match a
+	// client's static-config ring exactly. Every server installs it, so
 	// servers stamp its version on responses and AddFMS, RemoveFMS and
 	// FailoverDMS can install successors.
-	c.cmap = &wire.ClusterMap{Ver: 1}
+	groups := make([][]string, opts.DMSPartitions)
+	for pid := range groups {
+		for rep := 0; rep < opts.DMSReplicas; rep++ {
+			groups[pid] = append(groups[pid], dmsAddr(pid, rep))
+		}
+	}
+	cmap, err := partition.NewMap(groups, opts.DMSCuts)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	c.cmap = cmap
 	for i := 0; i < opts.FMSCount; i++ {
 		c.cmap.FMS = append(c.cmap.FMS, wire.Member{ID: int32(i), Addr: fmt.Sprintf("fms-%d", i)})
 	}
 	c.nextFMSID = int32(opts.FMSCount)
 
-	// Directory metadata service: one unsharded server, or a partitioned,
-	// replicated node set (DESIGN.md §16).
+	// Directory metadata service: a partitioned, replicated node set
+	// (DESIGN.md §16). The paper's single DMS is one partition of one
+	// replica: one node at "dms".
 	newDMSStore := func() *kv.Instrumented {
 		var base kv.Store
 		if opts.DMSOnHashStore {
@@ -319,87 +329,42 @@ func Start(opts Options) (*Cluster, error) {
 		}
 		return kv.Instrument(base, opts.DMSDevice)
 	}
-	c.sharded = opts.DMSPartitions > 1 || opts.DMSReplicas > 1
-	if len(opts.DMSCuts) < opts.DMSPartitions-1 {
-		return nil, fmt.Errorf("core: %d DMS partitions need at least %d cut directories, got %d",
-			opts.DMSPartitions, opts.DMSPartitions-1, len(opts.DMSCuts))
+	c.DMSNodes = make([][]*partition.Node, opts.DMSPartitions)
+	c.dmsStores = make([][]*kv.Instrumented, opts.DMSPartitions)
+	for pid := 0; pid < opts.DMSPartitions; pid++ {
+		for rep := 0; rep < opts.DMSReplicas; rep++ {
+			addr := dmsAddr(pid, rep)
+			store := newDMSStore()
+			ds := dms.New(dms.Options{
+				Store:            store,
+				CheckPermissions: opts.CheckPermissions,
+				LeaseDur:         opts.Lease,
+				ServerID:         partition.ServerID(uint32(pid)),
+			})
+			ds.SetFlight(c.Flight.Journal(), addr)
+			node := partition.New(partition.Config{
+				PID:          uint32(pid),
+				Self:         addr,
+				Map:          c.cmap,
+				DMS:          ds,
+				Dialer:       c.net,
+				Journal:      c.Flight.Journal(),
+				Source:       addr,
+				LogCap:       opts.DMSLogCap,
+				RepTimeout:   opts.DMSRepTimeout,
+				CatchupEvery: opts.DMSCatchupEvery,
+			})
+			if err := c.serve(addr, store, node.Attach); err != nil {
+				return nil, err
+			}
+			ds.RegisterMetrics(c.Metrics[addr])
+			c.DMSNodes[pid] = append(c.DMSNodes[pid], node)
+			c.dmsStores[pid] = append(c.dmsStores[pid], store)
+			c.dmsAllNodes = append(c.dmsAllNodes, node)
+		}
 	}
-	if opts.DMSPartitions == 1 && len(opts.DMSCuts) > 0 {
-		return nil, fmt.Errorf("core: DMS cuts given but only one partition configured")
-	}
-	if !c.sharded {
-		c.cmap.Groups = [][]string{{"dms"}}
-		c.DMSStore = newDMSStore()
-		c.DMS = dms.New(dms.Options{
-			Store:            c.DMSStore,
-			CheckPermissions: opts.CheckPermissions,
-			LeaseDur:         opts.Lease,
-		})
-		c.DMS.SetFlight(c.Flight.Journal(), "dms")
-		if err := c.serve("dms", c.DMSStore, c.DMS.Attach); err != nil {
-			return nil, err
-		}
-		c.DMS.RegisterMetrics(c.Metrics["dms"])
-	} else {
-		for i, d := range opts.DMSCuts {
-			cd, err := fspath.Clean(d)
-			if err != nil || cd == "/" {
-				return nil, fmt.Errorf("core: invalid DMS cut %q", d)
-			}
-			for _, prev := range c.cmap.Cuts {
-				if prev.Dir == cd {
-					return nil, fmt.Errorf("core: duplicate DMS cut %q", cd)
-				}
-			}
-			c.cmap.Cuts = append(c.cmap.Cuts, wire.PartCut{Dir: cd, PID: uint32(i%(opts.DMSPartitions-1)) + 1})
-		}
-		c.cmap.Groups = make([][]string, opts.DMSPartitions)
-		for pid := range c.cmap.Groups {
-			for rep := 0; rep < opts.DMSReplicas; rep++ {
-				c.cmap.Groups[pid] = append(c.cmap.Groups[pid], dmsAddr(pid, rep))
-			}
-		}
-		c.DMSNodes = make([][]*partition.Node, opts.DMSPartitions)
-		c.dmsStores = make([][]*kv.Instrumented, opts.DMSPartitions)
-		for pid := 0; pid < opts.DMSPartitions; pid++ {
-			for rep := 0; rep < opts.DMSReplicas; rep++ {
-				addr := dmsAddr(pid, rep)
-				store := newDMSStore()
-				// Replicas of one partition share a ServerID: UUIDs are
-				// drawn deterministically from it, so applying the same op
-				// log yields byte-identical inodes on every replica. The
-				// high bit keeps the IDs clear of the FMS range.
-				ds := dms.New(dms.Options{
-					Store:            store,
-					CheckPermissions: opts.CheckPermissions,
-					LeaseDur:         opts.Lease,
-					ServerID:         0x80000000 | uint32(pid),
-				})
-				ds.SetFlight(c.Flight.Journal(), addr)
-				node := partition.New(partition.Config{
-					PID:          uint32(pid),
-					Self:         addr,
-					Map:          c.cmap,
-					DMS:          ds,
-					Dialer:       c.net,
-					Journal:      c.Flight.Journal(),
-					Source:       addr,
-					LogCap:       opts.DMSLogCap,
-					RepTimeout:   opts.DMSRepTimeout,
-					CatchupEvery: opts.DMSCatchupEvery,
-				})
-				if err := c.serve(addr, store, node.Attach); err != nil {
-					return nil, err
-				}
-				ds.RegisterMetrics(c.Metrics[addr])
-				c.DMSNodes[pid] = append(c.DMSNodes[pid], node)
-				c.dmsStores[pid] = append(c.dmsStores[pid], store)
-				c.dmsAllNodes = append(c.dmsAllNodes, node)
-			}
-		}
-		c.DMS = c.DMSNodes[0][0].DMS()
-		c.DMSStore = c.dmsStores[0][0]
-	}
+	c.DMS = c.DMSNodes[0][0].DMS()
+	c.DMSStore = c.dmsStores[0][0]
 	// The journal is cluster-wide, so its counters are exported exactly once
 	// (through the bootstrap DMS registry) to keep SumCounter from
 	// double-counting.
@@ -447,8 +412,8 @@ func Start(opts Options) (*Cluster, error) {
 
 // dmsAddr names DMS partition pid's replica rep on the fabric. Partition
 // 0's leader keeps the address "dms": it is the bootstrap endpoint clients
-// dial first, and the residual partition owning the root — exactly where an
-// unsharded cluster's single DMS lives.
+// dial first, and the residual partition owning the root — on a
+// one-partition cluster, the whole namespace.
 func dmsAddr(pid, rep int) string {
 	if pid == 0 && rep == 0 {
 		return "dms"
@@ -550,7 +515,6 @@ func (c *Cluster) NewClient(cfg ClientConfig) (*client.Client, error) {
 		Dialer:                c.net,
 		Link:                  c.opts.Link,
 		DMSAddr:               m.Leader(0),
-		DMSSharded:            c.sharded,
 		FMSAddrs:              fmsAddrs,
 		FMSIDs:                fmsIDs,
 		OSSAddrs:              c.ossAddrs,
@@ -682,7 +646,7 @@ func (c *Cluster) FailoverDMS(pid int) error {
 	c.mu.Lock()
 	cur := c.cmap
 	c.mu.Unlock()
-	if !c.sharded || pid < 0 || pid >= len(cur.Groups) {
+	if pid < 0 || pid >= len(cur.Groups) {
 		return fmt.Errorf("core: no such DMS partition %d", pid)
 	}
 	if len(cur.Groups[pid]) < 2 {
@@ -740,9 +704,9 @@ func (c *Cluster) MetadataOpsServed() uint64 {
 }
 
 // DMSOpsServed returns completed requests on the directory metadata service
-// alone — the offered load client caching is supposed to shed. On a sharded
-// cluster it sums every partition replica (including deposed leaders, whose
-// pre-failover traffic still counts).
+// alone — the offered load client caching is supposed to shed. It sums
+// every partition replica (including deposed leaders, whose pre-failover
+// traffic still counts).
 func (c *Cluster) DMSOpsServed() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -756,7 +720,7 @@ func (c *Cluster) DMSOpsServed() uint64 {
 }
 
 // DMSBusy returns cumulative service time per DMS server — one entry per
-// partition replica on a sharded cluster, in deterministic (address) order.
+// partition replica, in deterministic (address) order.
 func (c *Cluster) DMSBusy() []time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()

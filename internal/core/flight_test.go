@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -147,11 +148,19 @@ func TestClusterJournalCollectsServerAndClientEvents(t *testing.T) {
 		t.Fatalf("no lease_recall events after coherent mutation; counts = %v", j.KindCounts())
 	}
 	// AddFMS migrates keys and installs a new epoch; both event kinds land.
-	if err := cl.Create("/flight/f1", 0o644); err != nil {
+	// Whether one file moves depends on where it hashes, so create enough
+	// that the grown ring must claim some (~1/3 move from two FMS to three).
+	for i := 0; i < 64; i++ {
+		if err := cl.Create(fmt.Sprintf("/flight/f%d", i), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep, err := c.AddFMS()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.AddFMS(); err != nil {
-		t.Fatal(err)
+	if rep.Moved == 0 {
+		t.Fatalf("AddFMS moved 0 of %d files; the test needs a migration", rep.Total)
 	}
 	counts := j.KindCounts()
 	if counts["migration"] == 0 {

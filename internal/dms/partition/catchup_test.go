@@ -3,6 +3,7 @@ package partition
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -131,6 +132,44 @@ func TestTruncationBoundsLogAndLateRetry(t *testing.T) {
 	// The floor is per client: another client's sequence 1 is fresh.
 	if st, _ := ts.nodes["l"].serveMutation(wire.OpMkdir, uint64(6)<<24|1, mkdirBody("/other")); st != wire.StatusOK {
 		t.Fatalf("other client's first request = %v, want OK", st)
+	}
+}
+
+// TestTruncationCostFlatInLogCap: once the log is at its cap, every append
+// prunes one entry, and that must cost the same whatever the cap is — a
+// prune that copies the retained log costs O(LogCap) per mutation. Bytes
+// allocated per mutation past the cap are compared at two caps 32× apart.
+func TestTruncationCostFlatInLogCap(t *testing.T) {
+	perMutation := func(logCap int) float64 {
+		ts := startShard(t, onePartitionMap("solo"), func(cfg *Config) { cfg.LogCap = logCap })
+		n := ts.nodes["solo"]
+		if st, _ := n.serveMutation(wire.OpMkdir, 0, mkdirBody("/d")); st != wire.StatusOK {
+			t.Fatalf("mkdir: %v", st)
+		}
+		chmod := func(i int) {
+			body := wire.NewEnc().Str("/d").U32(0o700 | uint32(i&0o77)).U32(0).U32(0).Bytes()
+			if st, _ := n.serveMutation(wire.OpChmodDir, uint64(i+1), body); st != wire.StatusOK {
+				t.Fatalf("chmod %d: %v", i, st)
+			}
+		}
+		for i := 0; i < logCap; i++ {
+			chmod(i)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := logCap; i < 3*logCap; i++ {
+			chmod(i)
+		}
+		runtime.ReadMemStats(&after)
+		if got := n.LogRetained(); got > logCap+1 {
+			t.Errorf("cap %d: retained log = %d", logCap, got)
+		}
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(2*logCap)
+	}
+	small, large := perMutation(256), perMutation(8192)
+	t.Logf("bytes allocated per mutation past the cap: %.0f at cap 256, %.0f at cap 8192", small, large)
+	if large >= 2*small || small >= 2*large {
+		t.Fatalf("per-mutation allocation depends on the log cap: %.0f B at cap 256, %.0f B at cap 8192", small, large)
 	}
 }
 

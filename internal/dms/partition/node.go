@@ -1,5 +1,6 @@
 // Package partition turns a set of dms.Server instances into a sharded,
-// replicated directory metadata service (DESIGN.md §16).
+// replicated directory metadata service (DESIGN.md §16). The paper's single
+// DMS is its smallest deployment: one partition of one replica.
 //
 // The namespace is split into subtree range partitions by the versioned
 // wire.ClusterMap. Each partition is a replica group of Nodes wrapping one
@@ -34,6 +35,7 @@
 package partition
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -99,6 +101,45 @@ type Config struct {
 	// therefore receives no more appends to trip over) rejoins on its own.
 	// Zero leaves catch-up on-demand (append gaps, map installs, CatchUp).
 	CatchupEvery time.Duration
+}
+
+// ServerID is the dms.Options.ServerID every replica of partition pid
+// uses. Replicas of one partition share it: UUIDs are drawn
+// deterministically from it, so applying the same op log yields
+// byte-identical inodes on every replica. Partition 0 keeps ID 0, the one
+// a single DMS has always used; the high bit keeps every other partition
+// clear of the FMS ID range.
+func ServerID(pid uint32) uint32 {
+	if pid == 0 {
+		return 0
+	}
+	return 0x80000000 | pid
+}
+
+// NewMap builds the version-1 cluster map a DMS deployment starts from.
+// groups[pid] lists partition pid's replica addresses leader-first; the
+// cut directories are assigned round-robin to partitions 1..N-1 in order,
+// so a partition may own several subtrees. The FMS set is left empty.
+func NewMap(groups [][]string, cuts []string) (*wire.ClusterMap, error) {
+	parts := len(groups)
+	if len(cuts) < parts-1 {
+		return nil, fmt.Errorf("%d DMS partitions need at least %d cut directories, got %d", parts, parts-1, len(cuts))
+	}
+	if parts == 1 && len(cuts) > 0 {
+		return nil, fmt.Errorf("DMS cuts given but only one partition")
+	}
+	m := &wire.ClusterMap{Ver: 1, Groups: groups}
+	for i, d := range cuts {
+		cd, err := fspath.Clean(d)
+		if err != nil || cd == "/" {
+			return nil, fmt.Errorf("invalid DMS cut %q", d)
+		}
+		if isCutDir(m, cd) {
+			return nil, fmt.Errorf("duplicate DMS cut %q", cd)
+		}
+		m.Cuts = append(m.Cuts, wire.PartCut{Dir: cd, PID: uint32(i%(parts-1)) + 1})
+	}
+	return m, nil
 }
 
 type appliedRes struct {
@@ -332,7 +373,7 @@ func (n *Node) emit(op string, value int64, detail string) {
 // set wrapped with the range guard and replication, the replication ops
 // (OpLogAppend, OpLogFetch, OpSeedUpdate), the 2PC destination ops, and a
 // cluster-map install that reconciles replication state. It installs
-// Config.Map on rs and replaces dms.Server.Attach for sharded deployments.
+// Config.Map on rs and takes the place of dms.Server.Attach.
 func (n *Node) Attach(rs *rpc.Server) {
 	n.rs = rs
 	rs.SetClusterMap(n.initMap, n.self)
@@ -810,9 +851,12 @@ func (n *Node) pruneToLocked(target uint64) {
 	if drop > len(n.log) {
 		drop = len(n.log)
 	}
-	rest := n.log[drop:]
-	// Copy so the dropped prefix's backing array is actually released.
-	n.log = append(make([]*wire.LogEntry, 0, len(rest)), rest...)
+	// Reslice rather than copy: copying the retained log on every append
+	// past the cap cost O(LogCap) per mutation. Clearing the dropped
+	// prefix frees its entries now; the array itself goes the next time
+	// append outgrows it, which copies only the retained suffix.
+	clear(n.log[:drop])
+	n.log = n.log[drop:]
 	n.firstIndex = target
 	for len(n.reqAt) > 0 && n.reqAt[0].idx < target {
 		ra := n.reqAt[0]

@@ -40,7 +40,7 @@ func startShard(t *testing.T, pm *wire.ClusterMap, mods ...func(*Config)) *testS
 				Store: store,
 				// Replicas of one partition share a ServerID so replaying
 				// the same op log yields byte-identical inodes.
-				ServerID: 0x80000000 | uint32(pid),
+				ServerID: ServerID(uint32(pid)),
 			})
 			cfg := Config{
 				PID: uint32(pid), Self: addr,

@@ -323,17 +323,10 @@ func CompactDirents(list []byte) ([]byte, int, error) {
 	return out, len(live), nil
 }
 
-// DirentPage decodes the log and returns up to limit live entries in name
-// order, strictly after cursor (empty cursor = from the start). more
-// reports whether entries remain beyond the page. limit <= 0 means no
-// bound. Servers use it to answer readdir in size-bounded pages.
-func DirentPage(list []byte, cursor string, limit int) (ents []Dirent, more bool, err error) {
-	ents, remaining, err := DirentPageAt(list, cursor, 0, limit)
-	return ents, remaining > 0, err
-}
-
-// DirentPageAt is DirentPage with a page offset: it returns the skip-th
-// page of size limit after cursor. skip > 0 lets a client prefetch several
+// DirentPageAt decodes the log and returns the skip-th page of up to limit
+// live entries in name order, strictly after cursor (empty cursor = from
+// the start); limit <= 0 means no bound. Servers use it to answer readdir
+// in size-bounded pages. skip > 0 lets a client prefetch several
 // consecutive pages with one cursor — e.g. a batch of sub-requests sharing
 // a cursor with skip 0..k-1 fetches k pages in one round trip. skip is
 // ignored when limit <= 0 (unbounded page). remaining is the exact number

@@ -25,12 +25,12 @@ import (
 // observe seconds (Prometheus convention) bucketed logarithmically; every
 // series carries an op label with the wire.Op name.
 const (
-	MetricRequests = "locofs_rpc_requests_total"  // server: completed requests
-	MetricErrors   = "locofs_rpc_errors_total"    // server: non-OK responses
-	MetricService  = "locofs_rpc_service_seconds" // server: handler service time (measured + modeled)
-	MetricQueue    = "locofs_rpc_queue_seconds"   // server: receipt -> handler start (worker queue wait)
-	MetricRTT      = "locofs_client_rtt_seconds"  // client: wall-clock round trip
-	MetricCalls    = "locofs_client_calls_total"  // client: calls issued
+	MetricRequests = "locofs_rpc_requests_total"   // server: completed requests
+	MetricErrors   = "locofs_rpc_errors_total"     // server: non-OK responses
+	MetricService  = "locofs_rpc_service_seconds"  // server: handler service time (measured + modeled)
+	MetricQueue    = "locofs_rpc_queue_seconds"    // server: receipt -> handler start (worker queue wait)
+	MetricRTT      = "locofs_client_rtt_seconds"   // client: wall-clock round trip
+	MetricCalls    = "locofs_client_calls_total"   // client: calls issued
 	MetricDedup    = "locofs_rpc_dedup_hits_total" // server: duplicate requests answered from the dedup window
 	// MetricDedupInflightSkips counts dedup-window evictions skipped because
 	// the entry's first delivery was still executing — evicting it would
@@ -101,6 +101,13 @@ type Server struct {
 	connMu sync.Mutex
 	conns  map[netsim.Conn]struct{}
 
+	// idle hands a received request to a parked request goroutine (see
+	// runRequests); parked counts them, and quit, closed by Shutdown,
+	// releases them.
+	idle   chan request
+	parked atomic.Int32
+	quit   chan struct{}
+
 	telem     atomic.Pointer[serverTelem]
 	tracer    atomic.Pointer[serverTracer]
 	flightRef atomic.Pointer[serverFlight]
@@ -142,6 +149,8 @@ func NewServerWithWorkers(workers int) *Server {
 		virtual:     make(map[wire.Op]time.Duration),
 		workerCap:   workers,
 		conns:       make(map[netsim.Conn]struct{}),
+		idle:        make(chan request),
+		quit:        make(chan struct{}),
 	}
 	if workers > 0 {
 		s.workers = make(chan struct{}, workers)
@@ -434,59 +443,99 @@ func (s *Server) serveConn(conn netsim.Conn) {
 		if req.IsResp {
 			continue // protocol violation; ignore
 		}
-		recvT := time.Now()
+		r := request{conn: conn, msg: req, recvT: time.Now()}
 		s.wg.Add(1)
-		go func(req *wire.Msg) {
-			defer s.wg.Done()
-			if req.Op == wire.OpBatch {
-				// The batch envelope is pure framing: it takes no worker
-				// slot itself — each sub-request competes for one — so a
-				// batch can never deadlock a 1-worker server.
-				s.serveBatch(conn, req, recvT)
-				return
+		select {
+		case s.idle <- r:
+		default:
+			go s.runRequests(r)
+		}
+	}
+}
+
+// request is one received request message and the connection it came on.
+type request struct {
+	conn  netsim.Conn
+	msg   *wire.Msg
+	recvT time.Time
+}
+
+// maxParked bounds the request goroutines parked between requests, so a
+// burst of concurrency does not leave its goroutines parked for the
+// server's lifetime.
+const maxParked = 256
+
+// runRequests serves r, then parks to serve this server's next request
+// instead of exiting: a fresh goroutine per request regrew its stack on
+// every call. It exits on Shutdown, or at once when maxParked goroutines
+// are already parked.
+func (s *Server) runRequests(r request) {
+	for {
+		s.serveRequest(r)
+		s.wg.Done()
+		if s.parked.Add(1) > maxParked {
+			s.parked.Add(-1)
+			return
+		}
+		select {
+		case r = <-s.idle:
+			s.parked.Add(-1)
+		case <-s.quit:
+			return
+		}
+	}
+}
+
+// serveRequest answers one request on its connection.
+func (s *Server) serveRequest(r request) {
+	conn, req, recvT := r.conn, r.msg, r.recvT
+	if req.Op == wire.OpBatch {
+		// The batch envelope is pure framing: it takes no worker
+		// slot itself — each sub-request competes for one — so a
+		// batch can never deadlock a 1-worker server.
+		s.serveBatch(conn, req, recvT)
+		return
+	}
+	// At-most-once: a request carrying a dedup id either registers
+	// as the first delivery (and records its outcome below) or is a
+	// retried duplicate, answered by replaying the first execution's
+	// response — after waiting for it if it is still running. The
+	// duplicate path takes no worker slot: it performs no service
+	// work.
+	var ent *dedupEntry
+	if req.Req != 0 {
+		var dup bool
+		if ent, dup = s.dedup.begin(req.Req); dup {
+			<-ent.done
+			if t := s.telem.Load(); t != nil {
+				t.forOp(req.Op).dedup.Inc()
 			}
-			// At-most-once: a request carrying a dedup id either registers
-			// as the first delivery (and records its outcome below) or is a
-			// retried duplicate, answered by replaying the first execution's
-			// response — after waiting for it if it is still running. The
-			// duplicate path takes no worker slot: it performs no service
-			// work.
-			var ent *dedupEntry
-			if req.Req != 0 {
-				var dup bool
-				if ent, dup = s.dedup.begin(req.Req); dup {
-					<-ent.done
-					if t := s.telem.Load(); t != nil {
-						t.forOp(req.Op).dedup.Inc()
-					}
-					if f := s.flightRef.Load(); f != nil {
-						f.j.Emit(flight.KindDedupReplay, f.source, req.Op.String(), req.Trace, 0, "")
-					}
-					resp := &wire.Msg{ID: req.ID, IsResp: true, Op: req.Op,
-						Status: ent.status, ServiceNS: ent.service, Trace: req.Trace, Span: req.Span,
-						Epoch: s.Epoch(), Lease: s.leaseSeq(), Body: ent.body}
-					_ = conn.Send(resp)
-					return
-				}
-			}
-			if s.workers != nil {
-				s.workers <- struct{}{}
-				defer func() { <-s.workers }()
-			}
-			// Queue wait: receipt to handler start. With unlimited workers
-			// this is just goroutine scheduling; with a worker cap it is the
-			// time spent waiting for a CPU slot — the server-side queueing
-			// the paper's saturation experiments exercise.
-			status, body, service := s.execute(req.Op, req.Body, req.Req, req.Trace, req.Span, -1, time.Since(recvT))
-			if ent != nil {
-				ent.complete(status, body, uint64(service))
+			if f := s.flightRef.Load(); f != nil {
+				f.j.Emit(flight.KindDedupReplay, f.source, req.Op.String(), req.Trace, 0, "")
 			}
 			resp := &wire.Msg{ID: req.ID, IsResp: true, Op: req.Op,
-				Status: status, ServiceNS: uint64(service), Trace: req.Trace, Span: req.Span,
-				Epoch: s.Epoch(), Lease: s.leaseSeq(), Body: body}
+				Status: ent.status, ServiceNS: ent.service, Trace: req.Trace, Span: req.Span,
+				Epoch: s.Epoch(), Lease: s.leaseSeq(), Body: ent.body}
 			_ = conn.Send(resp)
-		}(req)
+			return
+		}
 	}
+	if s.workers != nil {
+		s.workers <- struct{}{}
+		defer func() { <-s.workers }()
+	}
+	// Queue wait: receipt to handler start. With unlimited workers
+	// this is just goroutine scheduling; with a worker cap it is the
+	// time spent waiting for a CPU slot — the server-side queueing
+	// the paper's saturation experiments exercise.
+	status, body, service := s.execute(req.Op, req.Body, req.Req, req.Trace, req.Span, -1, time.Since(recvT))
+	if ent != nil {
+		ent.complete(status, body, uint64(service))
+	}
+	resp := &wire.Msg{ID: req.ID, IsResp: true, Op: req.Op,
+		Status: status, ServiceNS: uint64(service), Trace: req.Trace, Span: req.Span,
+		Epoch: s.Epoch(), Lease: s.leaseSeq(), Body: body}
+	_ = conn.Send(resp)
 }
 
 // execute runs one request (or one batched sub-request) through the full
@@ -620,6 +669,7 @@ func (s *Server) Shutdown() {
 	if s.closed.Swap(true) {
 		return
 	}
+	close(s.quit)
 	s.connMu.Lock()
 	if s.listener != nil {
 		s.listener.Close()

@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -187,6 +188,66 @@ func TestShutdownStopsAccept(t *testing.T) {
 	}
 	if _, err := n.Dial("srv"); err == nil {
 		t.Error("listener still reachable after Shutdown")
+	}
+}
+
+// TestShutdownReleasesRequestGoroutines: request goroutines park between
+// requests to be reused, and Shutdown releases every one of them — the
+// goroutine count returns to where it was before the server started.
+func TestShutdownReleasesRequestGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	n := netsim.NewNetwork(netsim.Loopback)
+	s := NewServer()
+	const conc = 16
+	var started sync.WaitGroup
+	release := make(chan struct{})
+	s.Handle(wire.Op(1), func(body []byte) (wire.Status, []byte) {
+		started.Done()
+		<-release
+		return wire.StatusOK, body
+	})
+	l, _ := n.Listen("srv")
+	go s.Serve(l)
+	c, err := Dial(n, "srv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// conc requests in flight at once need conc request goroutines; once
+	// they finish, the goroutines park and serve the sequential calls
+	// that follow without the count growing.
+	started.Add(conc)
+	var done sync.WaitGroup
+	for i := 0; i < conc; i++ {
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			if st, _, err := c.Call(wire.Op(1), nil); err != nil || st != wire.StatusOK {
+				t.Errorf("call = %v, %v", st, err)
+			}
+		}()
+	}
+	started.Wait()
+	close(release)
+	done.Wait()
+	peak := runtime.NumGoroutine()
+	for i := 0; i < 200; i++ {
+		started.Add(1)
+		if _, _, err := c.Call(wire.Op(1), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := runtime.NumGoroutine(); got > peak {
+		t.Errorf("goroutines grew from %d to %d over sequential calls; parked ones were not reused", peak, got)
+	}
+	c.Close()
+	s.Shutdown()
+	n.Close()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines = %d after Shutdown, want <= %d (before the server started)", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
